@@ -47,14 +47,12 @@ def test_bmin_routing(benchmark):
 def test_event_engine_throughput(benchmark):
     """Steady-state engine load: thousands pending, interleaved cancels.
 
-    The old version of this benchmark kept exactly one event queued
-    (schedule-one/fire-one), which a heap serves in O(1) too — it could
-    not distinguish the calendar queue from the reference heap.  This
-    one holds a few thousand events pending (a 16-node machine peaks in
-    the tens-to-hundreds; paper-scale configs go higher), with the
-    short constant delays and the speculative-wakeup cancellations of
-    the real machine, so per-op cost at realistic depth is what gets
-    measured.
+    Holds a few thousand events pending (a 16-node machine peaks in the
+    tens-to-hundreds; paper-scale configs go higher), with the short
+    constant delays and the speculative-wakeup cancellations of the real
+    machine, so the heap's O(log n) per-op cost at realistic depth is
+    what gets measured — a schedule-one/fire-one loop would keep the
+    heap at depth one and hide it.
     """
     DEPTH = 3_000
     TOTAL = 15_000

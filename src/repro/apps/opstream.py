@@ -3,11 +3,11 @@
 The op generators in this package are *execution-driven*: they resume
 once per simulated memory operation, which makes the Python generator
 machinery itself — frame resume, tuple allocation, interpreter dispatch
-— the dominant front-end cost after the engine (DESIGN.md §9), state
-kernel (§10) and express-transit (§12) passes.  This module lowers any
-operation stream to flat integer-coded *chunks* (plain Python lists) the
-processor consumes with indexed loads, and fuses the regular access
-patterns of the partitioned-matrix kernels into *superops* the processor
+— the dominant front-end cost after the engine (DESIGN.md §9) and state
+kernel (§10) passes.  This module lowers any operation stream to flat
+integer-coded *chunks* (plain Python lists) the processor consumes with
+indexed loads, and fuses the regular access patterns of the
+partitioned-matrix kernels into *superops* the processor
 expands arithmetically:
 
 ``OP_R_RUN/OP_W_RUN base stride count``
@@ -49,7 +49,7 @@ from ..errors import ConfigError, SimulationError
 Op = Tuple
 
 # ---------------------------------------------------------------------------
-# mode selection (same escape-hatch idiom as REPRO_ENGINE / REPRO_STATE)
+# mode selection (same escape-hatch idiom as REPRO_STATE)
 # ---------------------------------------------------------------------------
 
 OPS_ENV = "REPRO_OPS"

@@ -3,10 +3,8 @@
 One :class:`CaesarEngine` lives inside each switch of a switch-cache
 interconnect.  The fabric calls exactly three hooks as worm headers arrive.
 Each hook takes the header-arrival cycle as an explicit ``now`` argument
-(defaulting to the simulator clock): the fabric's express transit
-(DESIGN.md §12) processes several hops inside one event, so the hooks
-must time their port grants off the worm's *logical* arrival cycle, not
-off whenever the fused event happens to be executing.  The three hooks:
+(defaulting to the simulator clock), which the fabric passes from the
+value it already holds.  The three hooks:
 
 * :meth:`snoop` — an INV worm passes: purge a matching block (second tag
   port, never skipped, never delays the worm).

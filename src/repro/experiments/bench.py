@@ -1,48 +1,33 @@
 """Engine perf-trajectory harness: ``repro-experiments bench``.
 
 Runs a pinned set of canonical workloads — one synthetic kernel and one
-paper application, each under the base and the switch-cache system — on
-**both** event engines (the reference binary heap and the default
-calendar queue), and records, per workload and engine:
+paper application, each under the base and the switch-cache system — and
+records, per workload, one cell on the default configuration:
 
 * ``wall_s``        — best-of-``repeat`` wall-clock seconds,
 * ``events_per_s``  — simulator events fired per wall-clock second,
 * ``peak_pending``  — high-water event-queue depth,
 
-plus the engine-independent ``cycles`` (simulated execution time) and
-``events`` (events fired), which the harness asserts are **identical**
-across engines: a bench run doubles as an end-to-end differential test.
+plus ``cycles`` (simulated execution time) and ``events`` (events fired).
 
-Since schema 2 each workload also carries a ``kernels`` A/B section
-measuring the **state kernels** on the default engine: the integer-coded
-hot state (bitmask directories, struct-of-arrays cache sets, pooled
-worms — DESIGN.md §10) against the ``REPRO_STATE=obj`` object reference
-models.  Cycles and events must again be identical — the coded kernels
-change how state is stored, never what the machine does.
+Each workload also carries a ``kernels`` A/B section measuring the
+**state kernels**: the integer-coded hot state (bitmask directories,
+struct-of-arrays cache sets, pooled worms — DESIGN.md §10) against the
+``REPRO_STATE=obj`` object reference models.  Cycles and events must be
+identical to the default cell — the coded kernels change how state is
+stored, never what the machine does — so a bench run doubles as an
+end-to-end differential test.
 
-Since schema 3 each workload additionally carries an ``express`` A/B
-section: the fabric's express-transit event fusion (DESIGN.md §12) off
-vs on, on the default engine + kernels.  Here **cycles** must be
-identical — fusion is a scheduling transformation, never a timing one —
-but ``events`` legitimately differ: fused hops never become events, which
-is the entire point.  The paired ``express_speedup`` is therefore a
-wall-clock ratio (off/on on the same host), not an events/s ratio.  The
-engine and kernel sections run with express *off*, so their cross-engine
-events-identity assert keeps full strength and their speedup ratios stay
-comparable to pre-express baselines.
+The payload also carries a top-level ``ops`` section: a paired front-end
+A/B over the full six-app workload set (FWA, GS, GE, MM, SOR, FFT on the
+4-node base system) measuring the compiled operation streams
+(``REPRO_OPS=compiled`` — integer-coded op arrays with stride superops,
+DESIGN.md §13) against the ``REPRO_OPS=gen`` generator reference.  Both
+cycles and events must match across modes, and the paired
+``ops_speedup`` is an events/s ratio on the same host.
 
-Since schema 4 the payload also carries a top-level ``ops`` section: a
-paired front-end A/B over the full six-app workload set (FWA, GS, GE,
-MM, SOR, FFT on the 4-node base system) measuring the compiled
-operation streams (``REPRO_OPS=compiled`` — integer-coded op arrays
-with stride superops, DESIGN.md §13) against the ``REPRO_OPS=gen``
-generator reference.  The compiled front end is bit-identical by
-construction, so **both** cycles and events must match across modes —
-the strongest identity in the file — and the paired ``ops_speedup`` is
-an events/s ratio on the same host.  Engine, kernel and express cells
-all run with the compiled front end (the default), so their numbers
-stay comparable to schema-3 baselines only through the ratio gates,
-never the absolute column.
+Schema 5 has no engine or express-transit cells; its cycles and events
+equal schema 4's (DESIGN.md §9, §12).
 
 The result is written to ``BENCH_engine.json`` at the repo root, seeding
 the perf trajectory that future optimisation PRs extend.
@@ -53,10 +38,10 @@ so the check only uses portable quantities:
 
 * ``cycles``/``events`` must match the baseline exactly (cross-commit
   determinism), and
-* the calendar-vs-heap ``speedup``, the coded-vs-obj ``kernel_speedup``
-  and the fusion ``express_speedup`` ratios — both sides of each ratio
-  measured on the *same* host, so hardware cancels out — must not
-  regress by more than the threshold (default 25%).
+* the coded-vs-obj ``kernel_speedup`` per workload and the six-app
+  ``geomean_ops_speedup`` — both sides of each ratio measured on the
+  *same* host, so hardware cancels out — must not regress by more than
+  the threshold (default 25%).
 
 Runs are always fresh simulations (never served from the run cache) with
 SCSan forced off, so the numbers measure the engine, not the harness.
@@ -71,20 +56,15 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..apps.opstream import OPS_ENV
-from ..apps.synthetic import PingPong, SharedReaders
+from ..apps.synthetic import SharedReaders
 from ..cache.states import STATE_ENV
-from ..network.fabric import EXPRESS_ENV
-from ..sim.engine import ENGINE_ENV
 from ..system.config import SystemConfig
 from ..system.machine import Machine
 from .common import APP_ORDER, make_app
 
-SCHEMA_VERSION = 4
-ENGINES = ("heap", "calendar")
+SCHEMA_VERSION = 5
 #: state-kernel A/B order: reference first, so ``coded`` is the speedup
 STATE_MODELS = ("obj", "coded")
-#: express-transit A/B order: reference (fusion off) first
-EXPRESS_MODES = ("off", "on")
 #: op-stream A/B order: generator reference first
 OPS_MODES = ("gen", "compiled")
 #: the six-app front-end workload set: full scale on the 4-node base
@@ -113,34 +93,20 @@ def _workloads() -> List[Workload]:
         ("GE/base", lambda: base_config(16), lambda: make_app("GE", "quick")),
         ("GE/sc", lambda: switch_cache_config(16),
          lambda: make_app("GE", "quick")),
-        # the paper's motivating regime — one outstanding remote miss at a
-        # time, fabric otherwise quiet — is where express transit's
-        # quiescent-window fusion does its work; the barrier-storm apps
-        # above keep several worms in flight and rarely fuse
-        ("ping-pong/sc", lambda: switch_cache_config(16),
-         lambda: PingPong(rounds=120, blocks=4)),
     ]
 
 
 def _run_once(
     config: SystemConfig,
     app_factory: Callable[[], Any],
-    engine: str,
     state: str = "coded",
-    express: str = "off",
     ops: str = "compiled",
 ) -> Dict[str, Any]:
-    """One fresh, cache-free, sanitizer-free simulation on ``engine``
-    with the ``state`` kernel model, ``express`` transit mode (fusion
-    off by default, so engine/kernel A/Bs measure one axis) and ``ops``
-    front end (compiled op streams by default)."""
-    previous = os.environ.get(ENGINE_ENV)
-    previous_state = os.environ.get(STATE_ENV)
-    previous_express = os.environ.get(EXPRESS_ENV)
-    previous_ops = os.environ.get(OPS_ENV)
-    os.environ[ENGINE_ENV] = engine
+    """One fresh, cache-free, sanitizer-free simulation with the
+    ``state`` kernel model and ``ops`` front end (the defaults unless
+    an A/B section selects the reference)."""
+    saved = {env: os.environ.get(env) for env in (STATE_ENV, OPS_ENV)}
     os.environ[STATE_ENV] = state
-    os.environ[EXPRESS_ENV] = express
     os.environ[OPS_ENV] = ops
     try:
         machine = Machine(config, sanitize=False)
@@ -149,16 +115,11 @@ def _run_once(
         stats = machine.run(app)
         wall = time.perf_counter() - started
     finally:
-        for env, saved in (
-            (ENGINE_ENV, previous),
-            (STATE_ENV, previous_state),
-            (EXPRESS_ENV, previous_express),
-            (OPS_ENV, previous_ops),
-        ):
-            if saved is None:
+        for env, value in saved.items():
+            if value is None:
                 os.environ.pop(env, None)
             else:
-                os.environ[env] = saved
+                os.environ[env] = value
     return {
         "wall_s": wall,
         "cycles": stats.exec_time,
@@ -177,27 +138,18 @@ def _geomean(values: List[float]) -> float:
 def run_bench(repeat: int = DEFAULT_REPEAT) -> Dict[str, Any]:
     """Run the pinned workload matrix; returns the BENCH payload."""
     workloads: Dict[str, Any] = {}
-    speedups: List[float] = []
     kernel_speedups: List[float] = []
-    express_speedups: List[float] = []
     for name, config_factory, app_factory in _workloads():
         config = config_factory()
         entry: Dict[str, Any] = {}
         reference: Optional[Dict[str, Any]] = None
 
-        def measure(
-            engine: str, state: str, express: str = "off"
-        ) -> Dict[str, Any]:
-            """Best-of-repeat on one (engine, state, express) cell.
-
-            Cycles must match the workload's reference cell always;
-            events too, except on the express axis, where fusion removes
-            events by design (cycles-only identity there).
-            """
+        def measure(state: str) -> Dict[str, Any]:
+            """Best-of-repeat on one state-kernel cell; cycles and events
+            must match the workload's first (default) cell."""
             nonlocal reference
             runs = [
-                _run_once(config, app_factory, engine, state, express)
-                for _ in range(repeat)
+                _run_once(config, app_factory, state) for _ in range(repeat)
             ]
             best = min(runs, key=lambda r: float(r["wall_s"]))
             for other in runs:
@@ -205,48 +157,34 @@ def run_bench(repeat: int = DEFAULT_REPEAT) -> Dict[str, Any]:
                     best["cycles"], best["events"]
                 ):
                     raise AssertionError(
-                        f"{name}: non-deterministic repeat on "
-                        f"{engine}/{state}/express={express}"
+                        f"{name}: non-deterministic repeat on {state}"
                     )
             if reference is None:
                 reference = best
                 entry["cycles"] = best["cycles"]
                 entry["events"] = best["events"]
-            elif best["cycles"] != reference["cycles"] or (
-                express == "off" and best["events"] != reference["events"]
+            elif (best["cycles"], best["events"]) != (
+                reference["cycles"], reference["events"]
             ):
                 raise AssertionError(
-                    f"{name}: {engine}/{state}/express={express} disagrees "
-                    f"— simulated {best['cycles']} cycles / "
-                    f"{best['events']} events, expected "
-                    f"{reference['cycles']} / {reference['events']}"
+                    f"{name}: REPRO_STATE={state} disagrees — simulated "
+                    f"{best['cycles']} cycles / {best['events']} events, "
+                    f"expected {reference['cycles']} / "
+                    f"{reference['events']}"
                 )
             wall = float(best["wall_s"])
             return {
                 "wall_s": round(wall, 4),
-                "events": best["events"],
                 "events_per_s": round(best["events"] / wall) if wall else 0,
                 "peak_pending": best["peak_pending"],
             }
 
-        for engine in ENGINES:
-            cell = measure(engine, "coded")
-            cell.pop("events", None)  # identical across engines: top-level
-            entry[engine] = cell
-        speedup = (
-            entry["calendar"]["events_per_s"] / entry["heap"]["events_per_s"]
-            if entry["heap"]["events_per_s"] else 0.0
-        )
-        entry["speedup"] = round(speedup, 3)
-        speedups.append(speedup)
-        # state-kernel A/B on the default engine: obj reference vs the
-        # integer-coded kernels (same cycles/events enforced above)
-        kernels = {
-            state: measure("calendar", state) for state in STATE_MODELS
-        }
+        entry["default"] = measure("coded")
+        # state-kernel A/B: obj reference vs the integer-coded kernels
+        # (same cycles/events enforced above)
+        kernels = {state: measure(state) for state in STATE_MODELS}
         for kernel in kernels.values():
-            kernel.pop("peak_pending", None)  # engine property, not state
-            kernel.pop("events", None)
+            kernel.pop("peak_pending")  # engine property, not state
         entry["kernels"] = kernels
         kernel_speedup = (
             kernels["coded"]["events_per_s"] / kernels["obj"]["events_per_s"]
@@ -254,27 +192,11 @@ def run_bench(repeat: int = DEFAULT_REPEAT) -> Dict[str, Any]:
         )
         entry["kernel_speedup"] = round(kernel_speedup, 3)
         kernel_speedups.append(kernel_speedup)
-        # express-transit A/B on the default engine + kernels: fusion
-        # changes the event count (that is the optimisation), so the
-        # paired speedup is a same-host wall-clock ratio, and each mode
-        # records its own events so the fusion rate is visible
-        express = {
-            mode: measure("calendar", "coded", express=mode)
-            for mode in EXPRESS_MODES
-        }
-        entry["express"] = express
-        off_wall = float(express["off"]["wall_s"])
-        on_wall = float(express["on"]["wall_s"])
-        express_speedup = off_wall / on_wall if on_wall else 0.0
-        entry["express_speedup"] = round(express_speedup, 3)
-        express_speedups.append(express_speedup)
         workloads[name] = entry
     ops_workloads, ops_speedups = _run_ops_bench(repeat)
     return {
         "schema": SCHEMA_VERSION,
-        "engines": list(ENGINES),
         "state_models": list(STATE_MODELS),
-        "express_modes": list(EXPRESS_MODES),
         "ops_modes": list(OPS_MODES),
         "repeat": repeat,
         "workloads": workloads,
@@ -283,9 +205,7 @@ def run_bench(repeat: int = DEFAULT_REPEAT) -> Dict[str, Any]:
             "nodes": OPS_NODES,
             "workloads": ops_workloads,
         },
-        "geomean_speedup": round(_geomean(speedups), 3),
         "geomean_kernel_speedup": round(_geomean(kernel_speedups), 3),
-        "geomean_express_speedup": round(_geomean(express_speedups), 3),
         "geomean_ops_speedup": round(_geomean(ops_speedups), 3),
     }
 
@@ -311,10 +231,7 @@ def _run_ops_bench(
         for mode in OPS_MODES:
             runs = [
                 _run_once(
-                    config,
-                    lambda: make_app(app_name, OPS_SCALE),
-                    "calendar",
-                    ops=mode,
+                    config, lambda: make_app(app_name, OPS_SCALE), ops=mode
                 )
                 for _ in range(repeat)
             ]
@@ -377,43 +294,22 @@ def check_against(
                 f"baseline {base['cycles']} / {base['events']} "
                 f"(update BENCH_engine.json if the model changed on purpose)"
             )
-        floor = base["speedup"] * (1.0 - threshold)
-        if entry["speedup"] < floor:
+        kernel_floor = base["kernel_speedup"] * (1.0 - threshold)
+        if entry["kernel_speedup"] < kernel_floor:
             problems.append(
-                f"{name}: calendar-vs-heap speedup regressed — "
-                f"{entry['speedup']:.2f}x vs baseline "
-                f"{base['speedup']:.2f}x (floor {floor:.2f}x)"
+                f"{name}: coded-vs-obj kernel speedup regressed — "
+                f"{entry['kernel_speedup']:.2f}x vs baseline "
+                f"{base['kernel_speedup']:.2f}x (floor {kernel_floor:.2f}x)"
             )
-        # kernel ratio gate (schema-1 baselines predate the kernels A/B)
-        base_kernel = base.get("kernel_speedup")
-        if base_kernel is not None and "kernel_speedup" in entry:
-            kernel_floor = base_kernel * (1.0 - threshold)
-            if entry["kernel_speedup"] < kernel_floor:
-                problems.append(
-                    f"{name}: coded-vs-obj kernel speedup regressed — "
-                    f"{entry['kernel_speedup']:.2f}x vs baseline "
-                    f"{base_kernel:.2f}x (floor {kernel_floor:.2f}x)"
-                )
-        # express ratio gate (schema ≤2 baselines predate the express A/B)
-        base_express = base.get("express_speedup")
-        if base_express is not None and "express_speedup" in entry:
-            express_floor = base_express * (1.0 - threshold)
-            if entry["express_speedup"] < express_floor:
-                problems.append(
-                    f"{name}: express-transit speedup regressed — "
-                    f"{entry['express_speedup']:.2f}x vs baseline "
-                    f"{base_express:.2f}x (floor {express_floor:.2f}x)"
-                )
     for name in base_workloads:
         if name not in current["workloads"]:
             problems.append(f"{name}: in the baseline but no longer benched")
-    # ops front-end section (schema ≤3 baselines predate it): per-app
-    # timing must match exactly — the compiled front end is bit-identical
-    # by contract — and the six-app geomean ratio is gated; per-app
-    # ratios ride along ungated because a single app's wall-clock pair
-    # is too noisy for a portable floor
-    base_ops = baseline.get("ops", {}).get("workloads", {})
-    for name, entry in current.get("ops", {}).get("workloads", {}).items():
+    # ops front-end section: per-app timing must match exactly — the
+    # compiled front end is bit-identical by contract — and the six-app
+    # geomean ratio is gated; per-app ratios ride along ungated because
+    # a single app's wall-clock pair is too noisy for a portable floor
+    base_ops = baseline["ops"]["workloads"]
+    for name, entry in current["ops"]["workloads"].items():
         base = base_ops.get(name)
         if base is None:
             continue
@@ -426,90 +322,52 @@ def check_against(
                 f"baseline {base['cycles']} / {base['events']} "
                 f"(update BENCH_engine.json if the model changed on purpose)"
             )
-    base_ops_geomean = baseline.get("geomean_ops_speedup")
-    if base_ops_geomean is not None and "geomean_ops_speedup" in current:
-        ops_floor = base_ops_geomean * (1.0 - threshold)
-        if current["geomean_ops_speedup"] < ops_floor:
-            problems.append(
-                f"ops: compiled-vs-gen six-app geomean regressed — "
-                f"{current['geomean_ops_speedup']:.2f}x vs baseline "
-                f"{base_ops_geomean:.2f}x (floor {ops_floor:.2f}x)"
-            )
+    base_ops_geomean = baseline["geomean_ops_speedup"]
+    ops_floor = base_ops_geomean * (1.0 - threshold)
+    if current["geomean_ops_speedup"] < ops_floor:
+        problems.append(
+            f"ops: compiled-vs-gen six-app geomean regressed — "
+            f"{current['geomean_ops_speedup']:.2f}x vs baseline "
+            f"{base_ops_geomean:.2f}x (floor {ops_floor:.2f}x)"
+        )
     return problems
 
 
 def format_report(payload: Dict[str, Any]) -> str:
     lines = [
         f"{'workload':20s} {'cycles':>10s} {'events':>10s} "
-        f"{'heap ev/s':>10s} {'cal ev/s':>10s} {'speedup':>8s} "
-        f"{'peak q':>7s}"
+        f"{'ev/s':>10s} {'peak q':>7s} {'obj ev/s':>10s} "
+        f"{'coded ev/s':>10s} {'kernels':>8s}"
     ]
     for name, entry in payload["workloads"].items():
+        kernels = entry["kernels"]
         lines.append(
             f"{name:20s} {entry['cycles']:>10d} {entry['events']:>10d} "
-            f"{entry['heap']['events_per_s']:>10d} "
-            f"{entry['calendar']['events_per_s']:>10d} "
-            f"{entry['speedup']:>7.2f}x "
-            f"{entry['calendar']['peak_pending']:>7d}"
+            f"{entry['default']['events_per_s']:>10d} "
+            f"{entry['default']['peak_pending']:>7d} "
+            f"{kernels['obj']['events_per_s']:>10d} "
+            f"{kernels['coded']['events_per_s']:>10d} "
+            f"{entry['kernel_speedup']:>7.2f}x"
         )
-    lines.append(f"geomean speedup: {payload['geomean_speedup']:.2f}x")
-    if any("kernels" in e for e in payload["workloads"].values()):
-        lines.append("")
+    lines.append(
+        f"geomean kernel speedup: {payload['geomean_kernel_speedup']:.2f}x"
+    )
+    ops = payload["ops"]
+    lines.append("")
+    lines.append(
+        f"{'op streams':20s} {'cycles':>10s} {'events':>10s} "
+        f"{'gen ev/s':>10s} {'cmp ev/s':>10s} {'speedup':>8s}"
+    )
+    for name, entry in ops["workloads"].items():
         lines.append(
-            f"{'state kernels':20s} {'obj ev/s':>10s} {'coded ev/s':>10s} "
-            f"{'speedup':>8s}"
+            f"{name:20s} {entry['cycles']:>10d} {entry['events']:>10d} "
+            f"{entry['gen']['events_per_s']:>10d} "
+            f"{entry['compiled']['events_per_s']:>10d} "
+            f"{entry['ops_speedup']:>7.2f}x"
         )
-        for name, entry in payload["workloads"].items():
-            kernels = entry.get("kernels")
-            if kernels is None:
-                continue
-            lines.append(
-                f"{name:20s} {kernels['obj']['events_per_s']:>10d} "
-                f"{kernels['coded']['events_per_s']:>10d} "
-                f"{entry['kernel_speedup']:>7.2f}x"
-            )
-        lines.append(
-            f"geomean kernel speedup: "
-            f"{payload['geomean_kernel_speedup']:.2f}x"
-        )
-    if any("express" in e for e in payload["workloads"].values()):
-        lines.append("")
-        lines.append(
-            f"{'express transit':20s} {'off wall':>10s} {'on wall':>10s} "
-            f"{'off ev':>10s} {'on ev':>10s} {'speedup':>8s}"
-        )
-        for name, entry in payload["workloads"].items():
-            express = entry.get("express")
-            if express is None:
-                continue
-            lines.append(
-                f"{name:20s} {express['off']['wall_s']:>9.4f}s "
-                f"{express['on']['wall_s']:>9.4f}s "
-                f"{express['off']['events']:>10d} "
-                f"{express['on']['events']:>10d} "
-                f"{entry['express_speedup']:>7.2f}x"
-            )
-        lines.append(
-            f"geomean express speedup: "
-            f"{payload['geomean_express_speedup']:.2f}x"
-        )
-    ops = payload.get("ops")
-    if ops:
-        lines.append("")
-        lines.append(
-            f"{'op streams':20s} {'cycles':>10s} {'events':>10s} "
-            f"{'gen ev/s':>10s} {'cmp ev/s':>10s} {'speedup':>8s}"
-        )
-        for name, entry in ops["workloads"].items():
-            lines.append(
-                f"{name:20s} {entry['cycles']:>10d} {entry['events']:>10d} "
-                f"{entry['gen']['events_per_s']:>10d} "
-                f"{entry['compiled']['events_per_s']:>10d} "
-                f"{entry['ops_speedup']:>7.2f}x"
-            )
-        lines.append(
-            f"geomean ops speedup: {payload['geomean_ops_speedup']:.2f}x"
-        )
+    lines.append(
+        f"geomean ops speedup: {payload['geomean_ops_speedup']:.2f}x"
+    )
     return "\n".join(lines)
 
 
@@ -550,7 +408,7 @@ def bench_command(
             print(f"  {problem}")
         return 1
     print(
-        f"perf-smoke ok (speedup within {threshold:.0%} of baseline, "
+        f"perf-smoke ok (speedups within {threshold:.0%} of baseline, "
         f"timing identical)"
     )
     return 0

@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_p = sub.add_parser(
         "bench",
-        help="engine perf benchmark: pinned workloads on both event "
-             "engines, written to BENCH_engine.json",
+        help="engine perf benchmark: pinned workloads plus the state-"
+             "kernel and op-stream A/Bs, written to BENCH_engine.json",
     )
     bench_p.add_argument(
         "--output", default=None, metavar="PATH",
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_p.add_argument(
         "--repeat", type=int, default=2, metavar="N",
-        help="runs per (workload, engine); best wall-clock wins (default 2)",
+        help="runs per (workload, cell); best wall-clock wins (default 2)",
     )
     bench_p.add_argument(
         "--threshold", type=float, default=0.25, metavar="F",

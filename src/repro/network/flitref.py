@@ -301,8 +301,8 @@ class FlitNetwork:
         msg = worm.msg
         kind = msg.kind
         # the pump drives the clock one cycle at a time, so the header's
-        # logical arrival is exactly ``now``; pass it explicitly, as the
-        # message-granularity fabric's express loop does
+        # arrival is exactly ``now``; pass it explicitly, as the
+        # message-granularity fabric does
         if kind.snoops_switch_caches:
             engine.snoop(msg, now)
             return False

@@ -90,6 +90,13 @@ class SystemConfig:
             raise ConfigError("quantum must be positive")
         if self.procs_per_node < 1:
             raise ConfigError("procs_per_node must be >= 1")
+        if self.write_buffer_entries < 1:
+            # a store retires only through a buffer slot: with none, the
+            # first write stalls its processor forever
+            raise ConfigError(
+                f"write_buffer_entries must be >= 1, got "
+                f"{self.write_buffer_entries}"
+            )
         if self.protocol not in ("msi", "mesi"):
             raise ConfigError(f"protocol must be 'msi' or 'mesi', got {self.protocol!r}")
         if self.switch_cache_replacement not in ("lru", "fifo", "random"):

@@ -36,8 +36,9 @@ Four structural rules ride along:
   ``BarrierSequencer`` did exactly this before PR 10.  Kernel code must
   use a content hash (``zlib.crc32``) or an explicit counter instead.
 
-Run as ``python -m repro.verify.lint`` (exit status 1 when findings
-exist).  The rules are deliberately narrow — they whitelist nothing via
+Run as ``python -m repro.verify.lint_determinism`` (exit status 1 when
+findings exist); ``python -m repro.verify.flowcheck`` runs the same
+rules inside the full static gate.  The rules are deliberately narrow — they whitelist nothing via
 comments, so code that genuinely needs an exemption belongs outside the
 scanned module sets below.
 """
@@ -45,7 +46,6 @@ scanned module sets below.
 from __future__ import annotations
 
 import ast
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Set
@@ -312,7 +312,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.verify.lint",
+        prog="python -m repro.verify.lint_determinism",
         description="Determinism lint over the simulation kernel.",
     )
     parser.add_argument(
@@ -334,5 +334,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 1 if findings else 0
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised via repro.verify.lint
+if __name__ == "__main__":  # pragma: no cover - command-line entry point
     raise SystemExit(main())

@@ -1,15 +1,12 @@
 """Hot-path purity rules: keep the inlined hot regions allocation-free.
 
-PRs 4 and 6 hand-inlined the event engine, the calendar queue, the
-fabric's per-hop path, the coded cache kernels, and the CAESAR hooks for
-a ~1.6x combined speedup; the express-transit PR fused the per-hop path
-into a quiescent-window loop (DESIGN.md §12) and added the queues'
-``head_bound``/``next_time`` lookahead to the same tier.  Nothing at
-runtime stops a refactor from
-quietly reintroducing a dict display, a closure, or an attribute-chain
-re-lookup into those regions — benchmarks only catch it after the fact.
-These rules are the static gate, scoped to the exact (module, function)
-regions listed in :data:`HOT_REGIONS`.
+The event engine, the fabric's per-hop path, the coded cache kernels,
+the CAESAR hooks and the processor run loops are hand-inlined for speed.
+Nothing at runtime stops a refactor from quietly reintroducing a dict
+display, a closure, or an attribute-chain re-lookup into those regions
+— benchmarks only catch it after the fact.  These rules are the static
+gate, scoped to the exact (module, function) regions listed in
+:data:`HOT_REGIONS`.
 
 * **P-ALLOC** — list/dict/set displays, comprehensions, generator
   expressions, f-strings, and calls to allocating builtins inside a hot
@@ -41,11 +38,6 @@ HOT_REGIONS: Dict[str, FrozenSet[str]] = {
         "Simulator.call_at", "Simulator.step", "Simulator.run",
         "Simulator.run_while", "Simulator.run_until_stop",
         "Simulator._recycle", "HeapQueue.push", "HeapQueue.pop",
-        "HeapQueue.next_time",
-    }),
-    "sim/calqueue.py": frozenset({
-        "CalendarQueue.push", "CalendarQueue.pop", "CalendarQueue.peek",
-        "CalendarQueue._min_bucket", "CalendarQueue.next_time",
     }),
     "network/fabric.py": frozenset({
         "Fabric.inject", "Fabric._arrive", "Fabric._forward",

@@ -245,12 +245,11 @@ class SanitizedSimulator(Simulator):
         return None
 
     # -- run loops (same external semantics as the base class) ----------
-    # These go through the engine-agnostic queue interface (push/pop/
-    # iterate), so the sanitizer works identically over the calendar
-    # queue and the reference heap.  Events are deliberately never
-    # recycled here: a stale free-list reuse would be exactly the kind
-    # of bug SCSan exists to catch, so the sanitized engine keeps every
-    # fired event distinct.
+    # These go through the queue interface (push/pop/iterate) rather
+    # than the base class's inlined heapq calls.  Events are deliberately
+    # never recycled here: a stale free-list reuse would be exactly the
+    # kind of bug SCSan exists to catch, so the sanitized engine keeps
+    # every fired event distinct.
     def step(self) -> bool:
         queue = self._queue
         while True:

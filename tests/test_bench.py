@@ -9,28 +9,36 @@ from repro.experiments import bench
 from repro.system.presets import base_config
 
 
-@pytest.fixture
-def tiny_workloads(monkeypatch):
-    monkeypatch.setattr(bench, "_workloads", lambda: [
+def _tiny():
+    return [
         ("tiny", lambda: base_config(4),
          lambda: SharedReaders(nbytes=1024, rounds=1)),
-    ])
+    ]
 
 
-def test_run_bench_measures_both_engines(tiny_workloads):
-    payload = bench.run_bench(repeat=1)
+@pytest.fixture
+def tiny_workloads(monkeypatch):
+    monkeypatch.setattr(bench, "_workloads", _tiny)
+
+
+@pytest.fixture(scope="module")
+def payload():
+    """One bench run over the tiny workload, shared by the read-only
+    tests (each run also re-runs the full-scale six-app ops section)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bench, "_workloads", _tiny)
+        yield bench.run_bench(repeat=1)
+
+
+def test_run_bench_measures_default_cell(payload):
+    assert payload["schema"] == bench.SCHEMA_VERSION
     entry = payload["workloads"]["tiny"]
     assert entry["cycles"] > 0 and entry["events"] > 0
-    for engine in bench.ENGINES:
-        assert entry[engine]["events_per_s"] > 0
-        assert entry[engine]["peak_pending"] > 0
-    assert entry["speedup"] > 0
-    assert payload["geomean_speedup"] == entry["speedup"]
+    assert entry["default"]["events_per_s"] > 0
+    assert entry["default"]["peak_pending"] > 0
 
 
-def test_run_bench_measures_state_kernels(tiny_workloads):
-    payload = bench.run_bench(repeat=1)
-    assert payload["schema"] == bench.SCHEMA_VERSION
+def test_run_bench_measures_state_kernels(payload):
     assert payload["state_models"] == list(bench.STATE_MODELS)
     entry = payload["workloads"]["tiny"]
     for state in bench.STATE_MODELS:
@@ -43,42 +51,15 @@ def test_run_bench_measures_state_kernels(tiny_workloads):
     assert "geomean kernel speedup" in report
 
 
-def test_run_bench_measures_express_transit(tiny_workloads):
-    payload = bench.run_bench(repeat=1)
-    assert payload["express_modes"] == list(bench.EXPRESS_MODES)
-    entry = payload["workloads"]["tiny"]
-    for mode in bench.EXPRESS_MODES:
-        cell = entry["express"][mode]
-        assert cell["wall_s"] >= 0 and cell["events"] > 0
-    # fusion only removes events, never adds them
-    assert entry["express"]["on"]["events"] <= entry["express"]["off"]["events"]
-    # the engine A/B section runs with express off, so its events count
-    # is the unfused one
-    assert entry["events"] == entry["express"]["off"]["events"]
-    assert entry["express_speedup"] > 0
-    assert payload["geomean_express_speedup"] == entry["express_speedup"]
-    report = bench.format_report(payload)
-    assert "geomean express speedup" in report
-
-
-def test_check_against_accepts_itself(tiny_workloads):
-    payload = bench.run_bench(repeat=1)
+def test_check_against_accepts_itself(payload):
     assert bench.check_against(payload, payload) == []
 
 
-def test_check_against_flags_timing_drift_and_regression(tiny_workloads):
-    payload = bench.run_bench(repeat=1)
+def test_check_against_flags_timing_drift_and_regression(payload):
     drifted = json.loads(json.dumps(payload))
     drifted["workloads"]["tiny"]["cycles"] += 1
     problems = bench.check_against(drifted, payload)
     assert any("drifted" in p for p in problems)
-
-    slower = json.loads(json.dumps(payload))
-    slower["workloads"]["tiny"]["speedup"] = (
-        payload["workloads"]["tiny"]["speedup"] * 0.5
-    )
-    problems = bench.check_against(slower, payload, threshold=0.25)
-    assert any("regressed" in p for p in problems)
 
     slow_kernel = json.loads(json.dumps(payload))
     slow_kernel["workloads"]["tiny"]["kernel_speedup"] = (
@@ -87,38 +68,13 @@ def test_check_against_flags_timing_drift_and_regression(tiny_workloads):
     problems = bench.check_against(slow_kernel, payload, threshold=0.25)
     assert any("kernel speedup regressed" in p for p in problems)
 
-    slow_express = json.loads(json.dumps(payload))
-    slow_express["workloads"]["tiny"]["express_speedup"] = (
-        payload["workloads"]["tiny"]["express_speedup"] * 0.5
-    )
-    problems = bench.check_against(slow_express, payload, threshold=0.25)
-    assert any("express-transit speedup regressed" in p for p in problems)
+    slow_ops = json.loads(json.dumps(payload))
+    slow_ops["geomean_ops_speedup"] = payload["geomean_ops_speedup"] * 0.5
+    problems = bench.check_against(slow_ops, payload, threshold=0.25)
+    assert any("six-app geomean regressed" in p for p in problems)
 
 
-def test_check_against_tolerates_schema1_baseline(tiny_workloads):
-    # a schema-1 baseline has no kernels section; the kernel gate must
-    # simply not fire rather than KeyError
-    payload = bench.run_bench(repeat=1)
-    old = json.loads(json.dumps(payload))
-    for entry in old["workloads"].values():
-        entry.pop("kernels", None)
-        entry.pop("kernel_speedup", None)
-    assert bench.check_against(payload, old) == []
-
-
-def test_check_against_tolerates_schema2_baseline(tiny_workloads):
-    # a schema-2 baseline predates the express A/B; the express gate
-    # must simply not fire rather than KeyError
-    payload = bench.run_bench(repeat=1)
-    old = json.loads(json.dumps(payload))
-    for entry in old["workloads"].values():
-        entry.pop("express", None)
-        entry.pop("express_speedup", None)
-    assert bench.check_against(payload, old) == []
-
-
-def test_check_against_flags_workload_set_changes(tiny_workloads):
-    payload = bench.run_bench(repeat=1)
+def test_check_against_flags_workload_set_changes(payload):
     renamed = json.loads(json.dumps(payload))
     renamed["workloads"] = {"other": payload["workloads"]["tiny"]}
     problems = bench.check_against(renamed, payload)
@@ -128,7 +84,9 @@ def test_check_against_flags_workload_set_changes(tiny_workloads):
 
 def test_bench_command_preserves_trajectory(tiny_workloads, tmp_path, capsys):
     out = tmp_path / "BENCH_engine.json"
-    assert bench.bench_command(output=str(out), baseline=str(out)) == 0
+    assert bench.bench_command(
+        output=str(out), baseline=str(out), repeat=1
+    ) == 0
     payload = json.loads(out.read_text())
     history = [{"label": "seed", "events_per_s": {"tiny": 123}}]
     payload["trajectory"] = history
@@ -136,7 +94,7 @@ def test_bench_command_preserves_trajectory(tiny_workloads, tmp_path, capsys):
 
     # regeneration (and --check against the committed file) keeps history
     assert bench.bench_command(
-        output=str(out), baseline=str(out), check=True
+        output=str(out), baseline=str(out), check=True, repeat=1
     ) == 0
     regenerated = json.loads(out.read_text())
     assert regenerated["trajectory"] == history

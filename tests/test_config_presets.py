@@ -39,6 +39,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SystemConfig(netcache_size=-1)
 
+    @pytest.mark.parametrize("entries", [0, -1])
+    def test_write_buffer_needs_an_entry(self, entries):
+        # a zero-entry buffer was accepted and then deadlocked the run
+        with pytest.raises(ConfigError):
+            SystemConfig(write_buffer_entries=entries)
+
     def test_quantum_positive(self):
         with pytest.raises(ConfigError):
             SystemConfig(quantum=0)

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import bisect
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -251,3 +254,197 @@ def test_run_until_event_pushed_back_survives_cancel():
     assert sim.pending == 0
     sim.run()
     assert fired == []
+
+
+def test_call_passes_arguments():
+    sim = Simulator()
+    seen = []
+    sim.call(3, seen.append, "a")
+    sim.call_at(5, lambda x, y: seen.append((x, y)), 1, 2)
+    sim.run()
+    assert seen == ["a", (1, 2)]
+    assert sim.now == 5
+
+
+def test_peak_pending_high_water():
+    sim = Simulator()
+    for t in (4, 1, 9, 2):
+        sim.call_at(t, lambda: None)
+    sim.run()
+    assert sim.peak_pending == 4
+    assert sim.pending == 0
+
+
+def test_free_list_recycles_unreferenced_events():
+    sim = Simulator()
+    for _ in range(50):
+        sim.call(1, int)  # handle dropped immediately -> recyclable
+        sim.run()
+    assert len(sim._free) >= 1
+    before = len(sim._free)
+    sim.call(1, int)
+    assert len(sim._free) == before - 1  # scheduling reuses the pool
+
+
+def test_kept_handle_is_never_recycled():
+    sim = Simulator()
+    kept = sim.call(1, int)
+    sim.run()
+    assert kept not in sim._free  # a held reference blocks recycling
+    kept.cancel()  # stale handle stays inert (event already fired)
+    sim.call(1, int)
+    sim.run()
+    assert sim.events_fired == 2
+
+
+# ----------------------------------------------------------------------
+# lockstep fuzz against a sorted-list oracle
+# ----------------------------------------------------------------------
+class _Oracle:
+    """Reference model of the engine: a sorted list of queue entries.
+
+    Entries are ``[time, seq, label, state]`` lists kept in ``(time,
+    seq)`` order (``seq`` is unique, so comparison never reaches the
+    label).  Cancelled entries stay queued until they reach the head,
+    mirroring the engine's lazy deletion, so queue lengths compare too.
+    """
+
+    def __init__(self):
+        self.now = 0
+        self.seq = 0
+        self.queue = []
+        self.fired = []
+        self.peak = 0
+
+    def schedule(self, delay, label):
+        self.seq += 1
+        entry = [self.now + delay, self.seq, label, "live"]
+        bisect.insort(self.queue, entry)
+        self.peak = max(self.peak, len(self.queue))
+        return entry
+
+    @staticmethod
+    def cancel(entry):
+        if entry[3] == "live":
+            entry[3] = "cancelled"
+
+    def _drop_cancelled_heads(self):
+        while self.queue and self.queue[0][3] == "cancelled":
+            self.queue.pop(0)
+
+    def fire_next(self, until=None):
+        """Fire the earliest live event (if at or before ``until``)."""
+        self._drop_cancelled_heads()
+        if not self.queue or (until is not None and self.queue[0][0] > until):
+            return False
+        entry = self.queue.pop(0)
+        entry[3] = "fired"
+        self.now = entry[0]
+        self.fired.append((entry[2], entry[0]))
+        return True
+
+    def run(self, until):
+        while self.fire_next(until):
+            pass
+        self.now = max(self.now, until)
+
+    def next_event_time(self):
+        self._drop_cancelled_heads()
+        return self.queue[0][0] if self.queue else None
+
+    @property
+    def pending(self):
+        return sum(1 for entry in self.queue if entry[3] == "live")
+
+
+def _lockstep(seed, ops=400):
+    """Replay a seeded op-script on the engine and the oracle in lockstep.
+
+    The script is adversarial on purpose: same-cycle bursts (the seq
+    tie-break), cancellation storms (lazy deletion), huge time jumps,
+    peek-then-schedule-earlier, and ``run(until)`` push-backs.  Half the
+    scheduled handles are dropped at once, so the event free list
+    recycles them while the kept half stays cancellable.
+    """
+    rng = random.Random(seed)
+    sim = Simulator()
+    oracle = _Oracle()
+    fired = []
+    kept = []  # (engine handle, oracle entry)
+    label = 0
+
+    def schedule(delay):
+        nonlocal label
+
+        def callback(label=label):
+            fired.append((label, sim.now))
+
+        entry = oracle.schedule(delay, label)
+        label += 1
+        if rng.random() < 0.5:
+            kept.append((sim.schedule(delay, callback), entry))
+        else:
+            sim.schedule(delay, callback)
+
+    for op_idx in range(ops):
+        roll = rng.random()
+        if roll < 0.40:
+            schedule(rng.choice((0, 1, 1, 2, 4, 4, 8, 30)))
+        elif roll < 0.50:
+            # same-cycle burst: seq must break the tie
+            delay = rng.choice((0, 2, 4))
+            for _ in range(rng.randint(2, 5)):
+                schedule(delay)
+        elif roll < 0.55:
+            schedule(rng.choice((10_000, 100_000)))
+        elif roll < 0.65:
+            live = [pair for pair in kept if pair[1][3] != "cancelled"]
+            if live:
+                handle, entry = live[rng.randrange(len(live))]
+                handle.cancel()
+                oracle.cancel(entry)
+        elif roll < 0.72:
+            assert sim.next_event_time() == oracle.next_event_time()
+            schedule(rng.choice((0, 1, 2)))
+        elif roll < 0.84:
+            for _ in range(rng.randint(1, 8)):
+                assert sim.step() == oracle.fire_next()
+        elif roll < 0.92:
+            limit = rng.randint(1, 30)
+            budget = [limit]
+
+            def more(budget=budget):
+                budget[0] -= 1
+                return budget[0] >= 0
+
+            sim.run_while(more)
+            for _ in range(limit):  # at most ``limit`` events fire
+                if not oracle.fire_next():
+                    break
+        else:
+            until = sim.now + rng.choice((0, 3, 20, 200))
+            sim.run(until=until)
+            oracle.run(until)
+        context = f"seed {seed} op {op_idx}"
+        assert fired == oracle.fired, context
+        assert sim.now == oracle.now, context
+        assert sim.pending == oracle.pending, context
+        assert len(sim._queue) == len(oracle.queue), context
+        assert sim.peak_pending == oracle.peak, context
+        assert sim.events_fired == len(oracle.fired), context
+
+    sim.run()
+    while oracle.fire_next():
+        pass
+    assert fired == oracle.fired
+    assert sim.pending == oracle.pending == 0
+    assert fired  # the script actually fired something
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lockstep_fuzz(seed):
+    _lockstep(seed)
+
+
+def test_lockstep_fuzz_long():
+    _lockstep(seed=1234, ops=1500)

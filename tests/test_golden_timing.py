@@ -14,9 +14,6 @@ Derivation of the components (default parameters):
   reply serializes 36 cycles on each link
 """
 
-import pytest
-
-from repro.network.fabric import EXPRESS_ENV, EXPRESS_MODES
 from repro.system.config import SystemConfig
 from repro.system.machine import Machine
 
@@ -29,11 +26,6 @@ GOLDEN = {
     "far_remote": 216,        # seven switches each way (turn at stage 3)
 }
 
-# the golden pins hold bit-for-bit whether worm hops go through the event
-# queue or the express fused loop (DESIGN.md §12)
-express_modes = pytest.mark.parametrize("express", EXPRESS_MODES)
-
-
 def one_read(reader, home, sc_size=0):
     config = SystemConfig(num_nodes=16, switch_cache_size=sc_size)
     machine = Machine(config)
@@ -42,23 +34,17 @@ def one_read(reader, home, sc_size=0):
     return stats
 
 
-@express_modes
-def test_local_read_latency_pinned(express, monkeypatch):
-    monkeypatch.setenv(EXPRESS_ENV, express)
+def test_local_read_latency_pinned():
     stats = one_read(0, 0)
     assert stats.read_latency["local_mem"] == GOLDEN["local"]
 
 
-@express_modes
-def test_adjacent_remote_read_latency_pinned(express, monkeypatch):
-    monkeypatch.setenv(EXPRESS_ENV, express)
+def test_adjacent_remote_read_latency_pinned():
     stats = one_read(1, 0)
     assert stats.read_latency["remote_mem"] == GOLDEN["adjacent_remote"]
 
 
-@express_modes
-def test_far_remote_read_latency_pinned(express, monkeypatch):
-    monkeypatch.setenv(EXPRESS_ENV, express)
+def test_far_remote_read_latency_pinned():
     stats = one_read(15, 0)
     assert stats.read_latency["remote_mem"] == GOLDEN["far_remote"]
 

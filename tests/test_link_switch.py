@@ -111,14 +111,12 @@ class TestSwitch:
 class TestGrantLockstep:
     """Grant arithmetic lives in hand-inlined copies besides Link.reserve.
 
-    ``Fabric._arrive`` inlines the reservation once for the evented hop
-    path and reuses the same block for the express fused loop (fabric.py
-    keeps them literally identical; DESIGN.md §12).  These property
-    tests drive fuzzed (flits, earliest, free_at) streams through a real
-    fabric route and through reference ``Link.reserve`` calls with the
-    same tuples, asserting identical (grant, tail_done) timing and
-    identical timeline counters — so the copies cannot drift apart
-    silently.
+    ``Fabric._arrive`` inlines the reservation for the per-hop path.
+    These property tests drive fuzzed (flits, earliest, free_at) streams
+    through a real fabric route and through reference ``Link.reserve``
+    calls with the same tuples, asserting identical (grant, tail_done)
+    timing and identical timeline counters — so the copies cannot drift
+    apart silently.
     """
 
     SWITCH_DELAY = 4
@@ -154,13 +152,12 @@ class TestGrantLockstep:
             link.msgs, link.flits,
         )
 
-    def _fabric_run(self, worms, mode, monkeypatch, eject_busy_until=0):
+    def _fabric_run(self, worms, eject_busy_until=0):
         """The same stream through a real single-switch fabric route."""
         from repro.network.fabric import Fabric
         from repro.network.message import Message, MsgKind
         from repro.network.topology import BminTopology
 
-        monkeypatch.setenv("REPRO_EXPRESS", mode)
         sim = Simulator()
         fabric = Fabric(sim, BminTopology(4))
         for node in range(4):
@@ -182,8 +179,7 @@ class TestGrantLockstep:
         )
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("mode", ("off", "on"))
-    def test_fabric_inline_matches_link_reserve(self, seed, mode, monkeypatch):
+    def test_fabric_inline_matches_link_reserve(self, seed):
         rng = random.Random(seed)
         when = 0
         worms = []
@@ -195,17 +191,13 @@ class TestGrantLockstep:
             worms.append((rng.randrange(1, 12), when))
         busy = rng.randrange(0, 64)  # planted initial occupancy
         want_timing, want_inj, want_ej = self._reference(worms, busy)
-        got_timing, got_inj, got_ej = self._fabric_run(
-            worms, mode, monkeypatch, busy
-        )
+        got_timing, got_inj, got_ej = self._fabric_run(worms, busy)
         assert got_timing == want_timing
         assert got_inj == want_inj
         assert got_ej == want_ej
 
-    def test_back_to_back_worms_chain_identically(self, monkeypatch):
+    def test_back_to_back_worms_chain_identically(self):
         # all injected at cycle 0: the inject link serializes them and the
         # ejection link sees strictly ordered, contended requests
         worms = [(f, 0) for f in (1, 9, 2, 9, 1, 5)]
-        want = self._reference(worms)
-        for mode in ("off", "on"):
-            assert self._fabric_run(worms, mode, monkeypatch) == want
+        assert self._fabric_run(worms) == self._reference(worms)

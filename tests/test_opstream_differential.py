@@ -95,14 +95,6 @@ def test_object_state_kernels_bit_identical(monkeypatch):
                      monkeypatch)
 
 
-def test_heap_engine_bit_identical(monkeypatch):
-    from repro.sim.engine import ENGINE_ENV
-
-    monkeypatch.setenv(ENGINE_ENV, "heap")
-    assert_identical(_config("mesi", "on"), lambda: _small_app("FWA"),
-                     monkeypatch)
-
-
 def test_synthetic_alias_pattern_bit_identical(monkeypatch):
     # PrivateWork's loop reads and rewrites the same element: the
     # aliased read-before-write slot is the trickiest batch case

@@ -4,9 +4,8 @@ PR 6 recodes the simulator's hot state — directory sharer sets become int
 bitmasks, cache sets become struct-of-arrays int lists, message kinds get
 table-driven predicates, and worms recycle through a per-machine pool —
 while keeping every simulation bit-identical.  The original object models
-survive as ``REPRO_STATE=obj`` (DESIGN.md §10), exactly as the heap engine
-backs the calendar queue (§9), and these tests hold the two halves
-together:
+survive as ``REPRO_STATE=obj`` (DESIGN.md §10), and these tests hold the
+two halves together:
 
 * lockstep fuzzers drive a coded and an object instance through one
   seeded op-script, comparing every observable after every op;
