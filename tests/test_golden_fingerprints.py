@@ -17,6 +17,15 @@ calendar queue and the fused path were deleted (DESIGN.md §9, §12).
 Any change to the timing model, the protocol, or event scheduling
 moves them and must be a conscious decision.
 
+A second set of cells pins the switch-cache replacement ablation:
+UniformRandom, GE and FFT on a 16-node machine whose 1 KB switch caches
+evict thousands of blocks, under ``fifo`` and seeded ``random``
+replacement.  These cells add the total switch-cache eviction count and
+a digest of every switch cache's final contents, so the victim each
+policy picks is pinned directly (the random cell pins the seeded
+``rng.choice`` over the set's tags in ascending order, DESIGN.md §10.2).
+They were recorded while cache sets were still kept sorted by tag.
+
 Regenerate (only after such a decision)::
 
     PYTHONPATH=src python tests/test_golden_fingerprints.py --write
@@ -28,10 +37,11 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
 import pytest
 
+from repro.apps.synthetic import UniformRandom
 from repro.experiments.common import make_app
 from repro.system.machine import Machine
 from repro.system.presets import base_config, switch_cache_config
@@ -46,29 +56,69 @@ PRESETS = ("base", "sc")
 NUM_NODES = 4
 SCALE = "quick"
 
+#: the replacement-ablation cells: apps × non-LRU switch-cache policy
+REPLACEMENT_APPS = ("UR", "GE", "FFT")
+REPLACEMENT_POLICIES = ("fifo", "random")
+REPLACEMENT_NODES = 16
+REPLACEMENT_SC_SIZE = 1024
+
 CASES = [
     f"{app}-{protocol}-{preset}"
     for app in APPS
     for protocol in PROTOCOLS
     for preset in PRESETS
+] + [
+    f"{app}-{policy}-sc{REPLACEMENT_NODES}"
+    for app in REPLACEMENT_APPS
+    for policy in REPLACEMENT_POLICIES
 ]
+
+
+def _digest(obj: object) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _build(case: str) -> Tuple[Machine, object]:
+    app, variant, preset = case.split("-")
+    if variant in REPLACEMENT_POLICIES:
+        config = switch_cache_config(
+            REPLACEMENT_NODES, size=REPLACEMENT_SC_SIZE,
+            switch_cache_replacement=variant,
+        )
+        workload = (
+            UniformRandom(ops_per_proc=100, nbytes=8192,
+                          write_fraction=0.3, seed=1)
+            if app == "UR" else make_app(app, SCALE)
+        )
+        return Machine(config, sanitize=False), workload
+    make = base_config if preset == "base" else switch_cache_config
+    config = make(NUM_NODES, protocol=variant)
+    return Machine(config, sanitize=False), make_app(app, SCALE)
 
 
 def fingerprint(case: str) -> Dict[str, Union[int, str]]:
     """Run one case and return its pinned observables."""
-    app, protocol, preset = case.split("-")
-    make = base_config if preset == "base" else switch_cache_config
-    machine = Machine(make(NUM_NODES, protocol=protocol), sanitize=False)
-    stats = machine.run(make_app(app, SCALE))
+    machine, workload = _build(case)
+    stats = machine.run(workload)
     assert machine.check_coherence() == []
-    payload = json.dumps(
-        stats.to_payload(), sort_keys=True, separators=(",", ":")
-    )
-    return {
+    result: Dict[str, Union[int, str]] = {
         "exec_time": stats.exec_time,
         "events_fired": machine.sim.events_fired,
-        "payload_sha256": hashlib.sha256(payload.encode()).hexdigest(),
+        "payload_sha256": _digest(stats.to_payload()),
     }
+    if case.split("-")[1] in REPLACEMENT_POLICIES:
+        arrays = [
+            switch.cache_engine.array
+            for _, switch in sorted(machine.fabric.switches.items())
+            if switch.cache_engine is not None
+        ]
+        result["sc_evictions"] = sum(array.evictions for array in arrays)
+        result["sc_contents_sha256"] = _digest([
+            sorted((addr, line.data) for addr, line in array.resident_blocks())
+            for array in arrays
+        ])
+    return result
 
 
 def _golden() -> Dict[str, Dict[str, Union[int, str]]]:
@@ -83,6 +133,12 @@ def test_golden_covers_the_whole_matrix():
 @pytest.mark.parametrize("case", CASES)
 def test_fingerprint_matches_golden(case):
     assert fingerprint(case) == _golden()[case]
+
+
+def test_replacement_cells_really_evict():
+    for case in CASES:
+        if case.split("-")[1] in REPLACEMENT_POLICIES:
+            assert _golden()[case]["sc_evictions"] > 0, case
 
 
 def _write() -> None:
