@@ -45,14 +45,14 @@ def test_bmin_routing(benchmark):
 
 
 def test_event_engine_throughput(benchmark):
-    """Steady-state engine load: thousands pending, interleaved cancels.
+    """Steady-state engine load: thousands of events pending.
 
     Holds a few thousand events pending (a 16-node machine peaks in the
-    tens-to-hundreds; paper-scale configs go higher), with the short
-    constant delays and the speculative-wakeup cancellations of the real
-    machine, so the heap's O(log n) per-op cost at realistic depth is
-    what gets measured — a schedule-one/fire-one loop would keep the
-    heap at depth one and hide it.
+    tens-to-hundreds; paper-scale configs go higher), each rescheduling
+    itself at one of the machine's short constant delays, so the heap's
+    O(log n) per-op cost at realistic depth is what gets measured — a
+    schedule-one/fire-one loop would keep the heap at depth one and hide
+    it.
     """
     DEPTH = 3_000
     TOTAL = 15_000
@@ -60,18 +60,11 @@ def test_event_engine_throughput(benchmark):
     def run_steady_state():
         sim = Simulator()
         fired = [0]
-        cancelled = []
 
         def tick(delay):
             fired[0] += 1
             if fired[0] + sim.pending < TOTAL:
-                # reschedule at the machine's short constant delays, and
-                # park a speculative event that is cancelled before firing
-                event = sim.call(delay + 200, tick, delay)
-                cancelled.append(event)
                 sim.call(delay, tick, delay)
-                if len(cancelled) >= 16:
-                    cancelled.pop().cancel()
 
         for i in range(DEPTH):
             sim.call(1 + (i % 64), tick, 1 + (i % 7) * 4)
@@ -79,39 +72,6 @@ def test_event_engine_throughput(benchmark):
         return fired[0]
 
     assert benchmark(run_steady_state) > DEPTH
-
-
-def test_event_engine_cancellation(benchmark):
-    """Timeout-style load: most events are cancelled before they fire.
-
-    Models the simulator's dominant cancellation pattern (speculative
-    wakeups superseded by earlier completions) and exercises the
-    pop-once ``run(until=...)`` loop plus the O(1) ``pending`` counter.
-    """
-
-    def run_with_cancellations():
-        sim = Simulator()
-        fired = [0]
-
-        def tick():
-            fired[0] += 1
-
-        # schedule 4 timeouts per step, cancel 3, run in until-windows
-        events = []
-        for step in range(2_000):
-            t = step * 4
-            for slot in range(4):
-                events.append(sim.at(t + slot + 1, tick))
-        for i, event in enumerate(events):
-            if i % 4:
-                event.cancel()
-        horizon = 0
-        while sim.pending:
-            horizon += 512
-            sim.run(until=horizon)
-        return fired[0]
-
-    assert benchmark(run_with_cancellations) == 2_000
 
 
 def test_caesar_deposit_then_hit(benchmark):

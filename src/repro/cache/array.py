@@ -15,9 +15,10 @@ Two implementations share one API (DESIGN.md §10):
 * :class:`CacheArray` — the default *coded* kernel.  Each set is a slice
   of four flat parallel int lists (``tag``/``state``/``data``/``lru``),
   states are the small-int codes from :mod:`repro.cache.states`, and the
-  occupied slots of a set are kept sorted by tag so the seeded random
-  victim is a direct index (no per-victim sort).  ``probe``/``lookup``
-  return a :class:`LineView` over the slot; the allocation-free
+  occupied slots of a set form an unsorted prefix: a fill takes the next
+  free slot or overwrites the victim's, an invalidate moves the set's
+  last line into the hole.  ``probe``/``lookup`` return a
+  :class:`LineView` over the slot; the allocation-free
   ``*_data``/``*_state`` variants are what the simulation hot paths use.
 * :class:`CacheArrayObj` — the original dict-of-:class:`CacheLine` model,
   kept byte-for-byte as the ``REPRO_STATE=obj`` escape hatch and as the
@@ -72,8 +73,9 @@ class LineView:
     Reads and writes go straight through to the parallel lists, so a view
     behaves like the :class:`CacheLine` it replaces for snoop-style
     callers.  Views are transient: holding one across an ``insert`` or
-    ``invalidate`` that reshuffles the set is undefined (the old model had
-    the same caveat — an evicted ``CacheLine`` silently detached).
+    ``invalidate`` that moves lines within the set is undefined (the old
+    model had the same caveat — an evicted ``CacheLine`` silently
+    detached).
     """
 
     __slots__ = ("_arr", "_slot")
@@ -252,10 +254,11 @@ class CacheArray(CacheArrayBase):
 
     Set ``s`` owns slots ``[s*assoc, (s+1)*assoc)`` of four flat parallel
     lists.  ``_tags[slot] == -1`` marks an empty slot; occupied slots form
-    a prefix of the set, **sorted by tag**, so the seeded random victim
-    (``rng.choice`` over the sorted tag list in the object model) becomes
-    ``slot = base + rng.choice(range(assoc))`` — same entropy draw, same
-    victim, no sort.  States are small-int codes (``states.py``).
+    an unsorted prefix of the set.  Slot order never decides a victim:
+    LRU and FIFO evict the unique minimum timestamp (every fill and every
+    LRU hit takes a fresh tick), and the seeded random victim sorts the
+    full set by tag on demand (:meth:`_random_victim`).  States are
+    small-int codes (``states.py``).
     """
 
     __slots__ = (
@@ -406,20 +409,21 @@ class CacheArray(CacheArrayBase):
             return None
         victim_info = None
         n = self._occ[set_idx]
-        if n >= assoc:
+        if n < assoc:
+            v = base + n
+            self._occ[set_idx] = n + 1
+            self._occupied += 1
+        else:
             rng = self._rng
             if rng is not None:
-                # same entropy draw as rng.choice(sorted(tags)): the
-                # occupied prefix is kept tag-sorted, so the k-th choice
-                # IS slot base+k
-                v = base + rng.choice(self._victim_range)
+                v = self._random_victim(rng, base)
             else:
                 # LRU and FIFO both evict the minimum timestamp; they
                 # differ in whether hits refresh it (see lookup).  A
                 # manual scan beats min(key=lambda) at these small assocs
                 v = base
                 victim_lru = lrus[base]
-                for j in range(base + 1, base + n):
+                for j in range(base + 1, base + assoc):
                     if lrus[j] < victim_lru:
                         v, victim_lru = j, lrus[j]
             victim_block = tags[v] * num_sets + set_idx
@@ -431,35 +435,23 @@ class CacheArray(CacheArrayBase):
                     datas[v],
                 )
             del slot[victim_block]
-            # close the gap left by the victim (keeps the prefix sorted)
-            for j in range(v, base + n - 1):
-                tags[j] = tags[j + 1]
-                states[j] = states[j + 1]
-                datas[j] = datas[j + 1]
-                lrus[j] = lrus[j + 1]
-                slot[tags[j] * num_sets + set_idx] = j
-            n -= 1
-            tags[base + n] = -1
-            self._occupied -= 1
-        # sorted insertion into the occupied prefix
-        pos = base
-        end = base + n
-        while pos < end and tags[pos] < tag:
-            pos += 1
-        for j in range(end, pos, -1):
-            tags[j] = tags[j - 1]
-            states[j] = states[j - 1]
-            datas[j] = datas[j - 1]
-            lrus[j] = lrus[j - 1]
-            slot[tags[j] * num_sets + set_idx] = j
-        tags[pos] = tag
-        states[pos] = state.code
-        datas[pos] = data
-        lrus[pos] = tick
-        slot[block] = pos
-        self._occ[set_idx] = n + 1
-        self._occupied += 1
+        tags[v] = tag
+        states[v] = state.code
+        datas[v] = data
+        lrus[v] = tick
+        slot[block] = v
         return victim_info
+
+    def _random_victim(self, rng: _random.Random, base: int) -> int:
+        """Slot of the seeded random victim in the full set at ``base``.
+
+        The same draw as the object model's ``rng.choice(sorted(tags))``:
+        one ``rng.choice`` over ``assoc`` positions picks the k-th
+        smallest tag, so the set is sorted here, only when it evicts.
+        """
+        k = rng.choice(self._victim_range)
+        tags = self._tags
+        return sorted((tags[j], j) for j in range(base, base + self.assoc))[k][1]
 
     def set_state(self, addr: int, state: LineState) -> None:
         """Change the state of a resident line (line must be present)."""
@@ -477,21 +469,22 @@ class CacheArray(CacheArrayBase):
         if i is None or not self._states[i]:
             return None
         former = (_DECODE[self._states[i]], self._data[i])
-        tags = self._tags
-        states = self._states
-        datas = self._data
-        lrus = self._lrus
-        num_sets = self.num_sets
-        base = set_idx * self.assoc
         n = self._occ[set_idx]
+        last = set_idx * self.assoc + n - 1
+        tags = self._tags
         del slot[block]
-        for j in range(i, base + n - 1):
-            tags[j] = tags[j + 1]
-            states[j] = states[j + 1]
-            datas[j] = datas[j + 1]
-            lrus[j] = lrus[j + 1]
-            slot[tags[j] * num_sets + set_idx] = j
-        tags[base + n - 1] = -1
+        if i != last:
+            # fill the hole with the set's last line (sets are unsorted)
+            states = self._states
+            datas = self._data
+            lrus = self._lrus
+            tag = tags[last]
+            tags[i] = tag
+            states[i] = states[last]
+            datas[i] = datas[last]
+            lrus[i] = lrus[last]
+            slot[tag * self.num_sets + set_idx] = i
+        tags[last] = -1
         self._occ[set_idx] = n - 1
         self._occupied -= 1
         self.invalidations += 1

@@ -101,7 +101,7 @@ class HomeController:
         self._send = send
         self.block_size = block_size
         self.protocol = protocol
-        # shared machine-wide pool (id stream + worm free list); private
+        # shared machine-wide pool (one message-id stream); private
         # when the controller is built standalone in unit tests
         self._pool = pool if pool is not None else MessagePool(block_size)
         self._active: Dict[int, HomeTxn] = {}

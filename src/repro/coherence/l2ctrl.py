@@ -54,7 +54,7 @@ class NodeController:
         self.ni = ni
         self.home_of = home_of
         self.block_size = block_size
-        # the machine shares one pool (one id stream, one worm free list);
+        # the machine shares one pool (one message-id stream);
         # standalone controllers in unit tests get a private pool
         self._pool = pool if pool is not None else MessagePool(block_size)
         self.netcache = netcache

@@ -310,11 +310,6 @@ class Fabric:
         if handler is None:
             raise NetworkError(f"no NI handler attached for node {msg.dst}")
         handler(msg)
-        # worm recycling: after the handler returns, a message nothing
-        # retained (acks, invalidations, writebacks) goes back to the
-        # pool; the refcount guard in release vetoes anything still held
-        # by a transaction, a home slot, or the sanitizer
-        self.pool.release(msg)
 
     def _trace_delivery(self, msg: Message, tracer: Tracer) -> None:
         """Record the delivered worm's leg span and its flow linkage."""

@@ -67,8 +67,8 @@ class Machine:
             self.sim = Simulator()
         # installed before any component is built, so every hook sees it
         self.sim.tracer = tracer
-        # one worm pool per machine: a single message-id stream and one
-        # free list shared by the fabric and every controller
+        # one worm pool per machine: a single message-id stream shared
+        # by the fabric and every controller
         self.pool = MessagePool(config.block_size)
         self.topology = BminTopology(config.num_nodes)
         if config.network_model == "flit":
@@ -167,10 +167,6 @@ class Machine:
         if self._done_count >= self._num_procs:
             self.sim.request_stop()
 
-    def _procs_remaining(self) -> bool:
-        """Main-loop predicate: processors still running (called per event)."""
-        return self._done_count < self._num_procs
-
     def _sample_metrics(self) -> None:
         """Periodic sampler: occupancy/hit-rate and memory backlogs.
 
@@ -232,7 +228,12 @@ class Machine:
     # running
     # ------------------------------------------------------------------
     def run(self, app, max_cycles: Optional[int] = None) -> MachineStats:
-        """Execute ``app`` on all processors until completion."""
+        """Execute ``app`` on all processors until completion.
+
+        ``max_cycles`` bounds the whole run: a processor still running
+        past that cycle raises :class:`DeadlockError`, and the quiesce
+        after the last processor finishes stops there too.
+        """
         app.setup(self)
         compiled = ops_mode() == "compiled"
         for stack in self.stacks():
@@ -246,11 +247,15 @@ class Machine:
         if metrics is not None and metrics.sample_interval:
             self.sim.schedule(metrics.sample_interval, self._sample_metrics)
         if self._done_count < self._num_procs:
-            self.sim.run_until_stop()
+            self.sim.run_until_stop(max_cycles)
         if self._done_count < self.num_procs:
             stuck = [s.proc_id for s in self.stacks() if not s.processor.done]
+            cause = (
+                f"max_cycles={max_cycles} reached" if self.sim.pending
+                else "event queue drained"
+            )
             raise DeadlockError(
-                f"event queue drained with processors {stuck} unfinished "
+                f"{cause} with processors {stuck} unfinished "
                 f"at cycle {self.sim.now}"
             )
         # let in-flight traffic (writebacks, late invalidations) quiesce

@@ -11,9 +11,10 @@ plus the kernel-level properties the abstraction cannot see:
 * **Flit conservation** — every worm injected into (or fabricated
   inside) the fabric is delivered exactly once; nothing is dropped or
   duplicated.  Checked with a ledger keyed on message identity.
-* **Engine integrity** — event times never move the clock backwards and
-  the O(1) live-event counter (``Simulator.pending``) periodically
-  agrees with an O(n) recount of the queue.
+* **Engine integrity** — no event moves the clock backwards.  Every
+  event that fires is checked, in every run loop (:meth:`step`,
+  :meth:`run` and the machine's main loop :meth:`run_until_stop`), so
+  ``events_checked`` equals the engine's ``events_fired``.
 * **Drain-before-release** — a processor arriving at a barrier or
   releasing a lock must have an empty write buffer (the fence semantics
   :mod:`repro.node.processor` promises).
@@ -34,15 +35,13 @@ the coherence, engine, and sync checks only.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from heapq import heappop, heappush
+from typing import Dict, List, Optional
 
 from ..errors import SanitizerError
 from ..network.fabric import Fabric
 from ..network.message import Message
-from ..sim.engine import Event, Simulator
-
-#: fired events between O(n) engine queue audits
-AUDIT_PERIOD = 2048
+from ..sim.engine import Entry, Simulator
 
 
 class Sanitizer:
@@ -167,7 +166,7 @@ class Sanitizer:
     # end-of-run audit
     # ------------------------------------------------------------------
     def final_check(self, machine) -> None:
-        """Ledger, write-buffer, engine, and coherence audit at quiescence."""
+        """Ledger, write-buffer, and coherence audit at quiescence."""
         problems: List[str] = []
         fabric = machine.fabric
         if isinstance(fabric, SanitizedFabric):
@@ -182,11 +181,6 @@ class Sanitizer:
                     f"[sync] proc {stack.proc_id} finished with a non-empty "
                     f"write buffer"
                 )
-        sim = machine.sim
-        if isinstance(sim, SanitizedSimulator):
-            drift = sim.counter_drift()
-            if drift is not None:
-                problems.append(f"[engine] {drift}")
         problems.extend(
             f"[coherence] {problem}" for problem in machine.check_coherence()
         )
@@ -198,14 +192,13 @@ class Sanitizer:
 
 
 class SanitizedSimulator(Simulator):
-    """Engine overlay: monotonic clock + periodic live-counter audits.
+    """Engine overlay: a monotonic-clock check on every fired event.
 
-    Re-implements the run loops in terms of a checked single step.  The
-    base class inlines these loops for speed; the sanitized variant
-    trades that for a check per event, preserving the exact pop/drop
-    semantics of :meth:`Simulator.run` (``until=None`` stops at a
-    beyond-horizon head, ``until=X`` drops beyond-horizon events and
-    pushes back the first event beyond ``until``).
+    Re-implements every run loop in terms of a checked :meth:`_fire`.
+    The base class inlines these loops for speed; the sanitized variant
+    trades that for a check per event, preserving their exact pop, drop
+    and push-back semantics (``horizon`` drops, the first event beyond
+    ``until`` goes back on the queue).
     """
 
     def __init__(self, sanitizer: Sanitizer,
@@ -214,85 +207,65 @@ class SanitizedSimulator(Simulator):
         self._san = sanitizer
 
     # -- checked firing -------------------------------------------------
-    def _fire(self, event: Event) -> None:
+    def _fire(self, entry: Entry) -> None:
+        time, _, fn, args = entry
         san = self._san
-        if event.time < self.now:
+        if time < self.now:
             san.violation(
                 "engine",
-                f"event t={event.time} would move the clock backwards "
+                f"event t={time} would move the clock backwards "
                 f"from {self.now}",
             )
-        self.now = event.time
+        self.now = time
         self._events_fired += 1
         san.events_checked += 1
-        if san.events_checked % AUDIT_PERIOD == 0:
-            self.audit()
-        event.callback(*event.args)
+        fn(*args)
 
-    def audit(self) -> None:
-        """O(n) recount of live events vs the O(1) ``pending`` counter."""
-        drift = self.counter_drift()
-        if drift is not None:
-            self._san.violation("engine", drift)
-
-    def counter_drift(self) -> Optional[str]:
-        live = sum(1 for event in self._queue if not event.cancelled)
-        if live != self.pending:
-            return (
-                f"live-event counter drift: pending={self.pending} "
-                f"but {live} live events queued"
-            )
-        return None
+    def _beyond_horizon(self, time: int) -> bool:
+        return self.horizon is not None and time > self.horizon
 
     # -- run loops (same external semantics as the base class) ----------
-    # These go through the queue interface (push/pop/iterate) rather
-    # than the base class's inlined heapq calls.  Events are deliberately
-    # never recycled here: a stale free-list reuse would be exactly the
-    # kind of bug SCSan exists to catch, so the sanitized engine keeps
-    # every fired event distinct.
     def step(self) -> bool:
-        queue = self._queue
-        while True:
-            event = queue.pop()
-            if event is None:
-                return False
-            event._sim = None
-            if event.cancelled:
-                self._cancelled_queued -= 1
-                continue
-            if self.horizon is not None and event.time > self.horizon:
-                return False
-            self._fire(event)
-            return True
+        heap = self._heap
+        if not heap:
+            return False
+        entry = heappop(heap)
+        if self._beyond_horizon(entry[0]):
+            return False
+        self._fire(entry)
+        return True
 
     def run(self, until: Optional[int] = None) -> int:
         if until is None:
             while self.step():
                 pass
             return self.now
-        queue = self._queue
-        while True:
-            event = queue.pop()
-            if event is None:
+        heap = self._heap
+        while heap:
+            entry = heappop(heap)
+            if entry[0] > until:
+                heappush(heap, entry)  # not ours to fire
                 break
-            if event.cancelled:
-                event._sim = None
-                self._cancelled_queued -= 1
-                continue
-            if event.time > until:
-                queue.push(event)  # not ours to fire
-                break
-            event._sim = None
-            if self.horizon is not None and event.time > self.horizon:
-                continue  # beyond the horizon: drop, as the base run() does
-            self._fire(event)
+            if not self._beyond_horizon(entry[0]):
+                self._fire(entry)
         self.now = max(self.now, until)
         return self.now
 
-    def run_while(self, predicate: Callable[[], bool]) -> int:
-        while predicate() and self.step():
-            pass
-        return self.now
+    def run_until_stop(self, until: Optional[int] = None) -> int:
+        heap = self._heap
+        try:
+            while not self._stop and heap:
+                entry = heappop(heap)
+                time = entry[0]
+                if self._beyond_horizon(time):
+                    break  # dropped, as the base loop drops it
+                if until is not None and time > until:
+                    heappush(heap, entry)  # not ours to fire
+                    break
+                self._fire(entry)
+            return self.now
+        finally:
+            self._stop = False
 
 
 class SanitizedFabric(Fabric):

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.apps.synthetic import UniformRandom
 from repro.cache.states import LineState
 from repro.errors import DeadlockError
 from repro.system.machine import Machine
+from repro.system.presets import switch_cache_config
 
 from conftest import ScriptedApp, run_scripted, tiny_config
 
@@ -60,6 +62,39 @@ class TestRunLoop:
             {0: [("work", 100)], 1: [("work", 9000)]}, blocks=1
         )
         assert stats.exec_time == max(stats.finish_times.values())
+
+
+def _random_rw():
+    return UniformRandom(ops_per_proc=100, nbytes=8192, write_fraction=0.3,
+                         seed=1)
+
+
+def _run_fingerprint(max_cycles=None):
+    machine = Machine(switch_cache_config(4))
+    stats = machine.run(_random_rw(), max_cycles=max_cycles)
+    return stats.exec_time, machine.sim.events_fired, stats.to_payload()
+
+
+class TestMaxCycles:
+    """``max_cycles`` bounds the main phase, not just the quiesce."""
+
+    def test_bound_below_exec_time_raises(self):
+        exec_time = _run_fingerprint()[0]
+        for bound in (100, exec_time - 1):
+            machine = Machine(switch_cache_config(4))
+            with pytest.raises(DeadlockError,
+                               match=rf"max_cycles={bound} reached with "
+                                     r"processors \[.+\] unfinished at "
+                                     r"cycle \d+"):
+                machine.run(_random_rw(), max_cycles=bound)
+            assert machine.sim.now <= bound
+
+    def test_bound_at_exec_time_finishes(self):
+        exec_time = _run_fingerprint()[0]
+        assert _run_fingerprint(max_cycles=exec_time)[0] == exec_time
+
+    def test_generous_bound_is_bit_identical(self):
+        assert _run_fingerprint(max_cycles=10**9) == _run_fingerprint()
 
 
 class TestCoherenceAudit:

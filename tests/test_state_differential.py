@@ -2,7 +2,7 @@
 
 PR 6 recodes the simulator's hot state — directory sharer sets become int
 bitmasks, cache sets become struct-of-arrays int lists, message kinds get
-table-driven predicates, and worms recycle through a per-machine pool —
+table-driven predicates, and worms draw ids from a per-machine pool —
 while keeping every simulation bit-identical.  The original object models
 survive as ``REPRO_STATE=obj`` (DESIGN.md §10), and these tests hold the
 two halves together:
@@ -175,10 +175,12 @@ def test_array_lockstep_fuzz_long():
 def test_random_victim_matches_legacy_choice():
     """The coded random victim must equal ``rng.choice(sorted(tags))``.
 
-    The object model used to re-sort the set per eviction and draw with
-    ``random.Random.choice``; the coded model keeps the occupied prefix
-    tag-sorted and draws an index.  Both are pinned here against the old
-    algorithm computed independently with a twin RNG.
+    The object model re-sorts the set per eviction and draws with
+    ``random.Random.choice``; the coded model keeps its set unsorted,
+    draws an index with the same ``rng.choice`` and sorts the set's
+    slots by tag only then, to find that index's slot.  Both are pinned
+    here against the old algorithm computed independently with a twin
+    RNG.
     """
     for model in STATE_MODELS:
         arr = make_cache_array(
@@ -287,7 +289,7 @@ def test_sorted_sharers_is_ascending():
 
 
 # ----------------------------------------------------------------------
-# message kinds and the worm pool
+# message kinds and the per-machine id stream
 # ----------------------------------------------------------------------
 def test_kind_tables_match_properties():
     for kind in MsgKind:
@@ -321,33 +323,6 @@ def test_pool_default_flits_by_kind():
     )
     assert no_data.flits == 1 + 64 // 8
     assert pool.make(MsgKind.DATA_S, 1, 0, 0x40, flits=3).flits == 3
-
-
-def test_pool_recycles_unreferenced_worms():
-    pool = MessagePool(64)
-    holder = [pool.make(MsgKind.INV, 0, 1, 0x40, payload={"x": 1})]
-    msg = holder[0]
-    msg.trace.append((0, 0))
-    # refs here: `msg` + `holder[0]` + release's parameter + getrefcount
-    pool.release(msg)
-    assert len(pool._free) == 1
-    reused = pool.make(MsgKind.INV_ACK, 1, 0, 0x80)
-    assert reused is msg  # the worm was recycled...
-    assert reused.id == 1 and reused.kind is MsgKind.INV_ACK
-    assert reused.payload == {} and reused.trace == []  # ...fully reset
-    assert reused.route is None and reused.hops is None
-    assert reused.created_at == -1 and reused.delivered_at == -1
-
-
-def test_pool_release_vetoed_by_retained_reference():
-    pool = MessagePool(64)
-    msg = pool.make(MsgKind.DATA_S, 0, 1, 0x40, data=9)
-    retainer = {"reply_msg": msg}  # e.g. a Transaction keeps the reply
-    holder = [msg]
-    pool.release(msg)
-    assert pool._free == []  # the extra reference vetoes reuse
-    assert retainer["reply_msg"].data == 9  # retained worm untouched
-    del holder
 
 
 def test_bare_message_uses_global_fallback_ids():

@@ -18,7 +18,6 @@ from repro.node.processor import Processor
 from repro.system.machine import Machine
 from repro.verify import lint_determinism
 from repro.verify.modelcheck import MUTATIONS, check
-from repro.verify.sanitize import Sanitizer, SanitizedSimulator
 
 from conftest import ScriptedApp, tiny_config
 
@@ -111,6 +110,16 @@ class TestSanitizerCleanRun:
         )
         assert plain.exec_time == sane.exec_time
 
+    def test_every_fired_event_is_checked(self):
+        from repro.apps.synthetic import UniformRandom
+        from repro.system.presets import switch_cache_config
+
+        machine = Machine(switch_cache_config(4), sanitize=True)
+        machine.run(UniformRandom(ops_per_proc=100, nbytes=8192,
+                                  write_fraction=0.3, seed=1))
+        assert machine.sim.events_fired > 0
+        assert machine.sanitizer.events_checked == machine.sim.events_fired
+
     def test_env_opt_in(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         assert Machine(tiny_config()).sanitizer is not None
@@ -199,21 +208,24 @@ class TestSanitizerMutations:
         with pytest.raises(SanitizerError, match="injected while already"):
             machine.fabric.inject(msg)
 
-    def test_event_counter_drift_detected(self):
-        sim = SanitizedSimulator(Sanitizer())
-        sim.at(10, lambda: None)
-        event = sim.at(20, lambda: None)
-        # bypass cancel(): the bookkeeping never hears about it
-        event.cancelled = True
-        with pytest.raises(SanitizerError, match="counter drift"):
-            sim.audit()
+    def test_clock_regression_detected(self, monkeypatch):
+        """A callback that pushes the clock past queued events is caught
+        in the machine's main loop, at the next event it would rewind."""
+        original = Processor._begin_finish
+        corrupted = []
 
-    def test_clock_regression_detected(self):
-        sim = SanitizedSimulator(Sanitizer())
-        event = sim.at(5, lambda: None)
-        sim.now = 10  # corrupt the clock past the queued event
+        def finish_and_jump(self):
+            if not corrupted:
+                corrupted.append(self)
+                self.sim.now += 1_000_000  # clock runs ahead of the queue
+            original(self)
+
+        monkeypatch.setattr(Processor, "_begin_finish", finish_and_jump)
+        machine = Machine(tiny_config(), sanitize=True)
         with pytest.raises(SanitizerError, match="backwards"):
-            sim._fire(event)
+            machine.run(ScriptedApp(_reader_writer_scripts(), home=3))
+        assert corrupted, "mutation test vacuous: no processor finished"
+        assert machine._done_count < machine.num_procs  # main phase
 
 
 # ----------------------------------------------------------------------
