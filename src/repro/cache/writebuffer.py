@@ -21,9 +21,9 @@ class WriteBuffer:
     def __init__(self, capacity: int = 8, block_size: int = 64) -> None:
         self.capacity = capacity
         self.block_size = block_size
-        # block masking: AND with -block_size when it is a power of two
-        # (always, in practice); 0 falls back to division in _block()
-        self._neg_mask = -block_size if block_size & (block_size - 1) == 0 else 0
+        # block masking: AND with -block_size (a power of two; SystemConfig
+        # rejects any other block size)
+        self._neg_mask = -block_size
         # block_addr -> number of merged stores
         self._entries: "OrderedDict[int, int]" = OrderedDict()
         # the entry currently being drained (removed from _entries)
@@ -34,9 +34,7 @@ class WriteBuffer:
         self.full_stalls = 0
 
     def _block(self, addr: int) -> int:
-        if self._neg_mask:
-            return addr & self._neg_mask
-        return (addr // self.block_size) * self.block_size
+        return addr & self._neg_mask
 
     # ------------------------------------------------------------------
     # processor side
@@ -74,8 +72,7 @@ class WriteBuffer:
     def contains(self, addr: int) -> bool:
         """Whether a store to this block is still pending (incl. draining)."""
         # hot path (checked on every simulated load): _block() inlined
-        mask = self._neg_mask
-        block = addr & mask if mask else addr // self.block_size * self.block_size
+        block = addr & self._neg_mask
         return block in self._entries or block == self._draining
 
     # ------------------------------------------------------------------

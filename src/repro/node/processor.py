@@ -41,6 +41,14 @@ from ..cache.states import LineState
 from ..coherence.messages import Transaction
 from ..errors import SimulationError
 from ..sim.engine import Simulator
+from .loopkernel import (
+    LOOP_DONE,
+    LOOP_MISS,
+    LOOP_WB_FULL,
+    LOOP_YIELD,
+    Options,
+    loop_kernel,
+)
 
 Op = Tuple
 
@@ -84,14 +92,9 @@ class Processor:
         self._run_left = 0
         self._loop_body: List[int] = []  # (kind, base|cycles, stride) triples
         self._loop_iters = 0    # iterations remaining, current included
-        self._loop_slot = 0     # offset of the next slot triple to execute
-        self._loop_cost = -1    # cached batch flags; -1 = stale
-        self._loop_nw = 0
-        self._loop_batchable = False
-        # scratch for the strip-mined loop batches (avoids per-batch lists)
-        self._batch_cls: List[int] = []
-        self._batch_alias: List[int] = []
-        self._batch_wblocks: List[int] = []
+        self._loop_slot = 0     # index of the next slot to execute
+        self._loop_kernel: Optional[Callable] = None  # node/loopkernel.py
+        self._kernel_options: Optional[Options] = None
         self._stall_started: Optional[int] = None
         self._sync_label = "sync"  # span name for the current sync stall
         self.value_trace: List[Tuple[str, int, int, int]] = []
@@ -112,7 +115,18 @@ class Processor:
         """Begin executing an integer-coded chunk stream (DESIGN.md §13)."""
         self._chunks = iter(chunks)
         self._compiled = True
+        self._kernel_options = self.kernel_options()
         self.sim.schedule(0, self._resume)
+
+    def kernel_options(self) -> Options:
+        """This processor's template options for the loop kernels."""
+        node = self.node
+        l1 = node.hierarchy.l1
+        block = node.write_buffer.block_size
+        if l1.block_size != block:
+            raise SimulationError("L1 and write-buffer block sizes differ")
+        return (block, self.l1_cycles, self.l2_cycles, self.store_cycles,
+                l1._lru, self.trace_values, hasattr(l1, "_slot"))
 
     def _resume(self) -> None:
         """(Re-)enter the execution loop at global time."""
@@ -140,8 +154,7 @@ class Processor:
         trace_values = self.trace_values
         write_buffer = node.write_buffer
         wb_entries = write_buffer._entries
-        wb_mask = write_buffer._neg_mask  # 0 = block size not a power of 2
-        wb_block = write_buffer.block_size
+        wb_mask = write_buffer._neg_mask
         wb_push = write_buffer.push
         kick_drain = node.kick_drain
         # the two-level read probe is inlined below (instead of calling
@@ -195,7 +208,7 @@ class Processor:
             if code == "r":
                 addr = op[1]
                 # inlined WriteBuffer.contains (pending stores forward)
-                block = addr & wb_mask if wb_mask else addr // wb_block * wb_block
+                block = addr & wb_mask
                 if block in wb_entries or block == write_buffer._draining:
                     time += l1_cycles
                     ops_executed += 1
@@ -293,9 +306,6 @@ class Processor:
         run_left: int,
         loop_iters: int,
         loop_slot: int,
-        loop_cost: int,
-        loop_nw: int,
-        loop_batchable: bool,
         hit_wb: int,
         hit_l1: int,
         hit_l2: int,
@@ -310,9 +320,6 @@ class Processor:
         self._run_left = run_left
         self._loop_iters = loop_iters
         self._loop_slot = loop_slot
-        self._loop_cost = loop_cost
-        self._loop_nw = loop_nw
-        self._loop_batchable = loop_batchable
         node = self.node
         node.stats.add_read_hits(node.node_id, hit_wb, hit_l1, hit_l2)
 
@@ -324,19 +331,21 @@ class Processor:
         # the generator loop exactly — the differential suites pin the
         # two modes bit-identical — but a hit run retires a whole cache
         # block per probe instead of re-entering the dispatch per
-        # element.  Superop progress lives in locals and is written back
-        # by _suspend_compiled whenever the loop exits.
+        # element, and a loop runs in its shape's generated kernel.
+        # Superop progress lives in locals and is written back by
+        # _suspend_compiled whenever the loop exits.
         node = self.node
         sim = self.sim
         now = sim.now
         quantum = self.quantum
+        stop = now + quantum
         l1_cycles = self.l1_cycles
         l2_cycles = self.l2_cycles
         store_cycles = self.store_cycles
         trace_values = self.trace_values
         write_buffer = node.write_buffer
         wb_entries = write_buffer._entries
-        wb_mask = write_buffer._neg_mask  # 0 = block size not a power of 2
+        wb_mask = write_buffer._neg_mask
         wb_block = write_buffer.block_size
         wb_push = write_buffer.push
         kick_drain = node.kick_drain
@@ -354,16 +363,8 @@ class Processor:
             l1_shift = l1._block_shift
             l1_is_lru = l1._lru
         else:
-            l1_slot_get = None
-        # bulk span: elements of one batch must share both their write
-        # buffer block and their L1 block, so span by the smaller
-        if l1_slot_get is not None and (1 << l1_shift) < wb_block:
-            span = 1 << l1_shift
-        else:
-            span = wb_block
+            l1_slot_get = l1_states = l1_data = l1_lrus = None
         shared = LineState.SHARED
-        wb_capacity = write_buffer.capacity
-        batching = l1_slot_get is not None and not trace_values
         hit_wb = hit_l1 = hit_l2 = 0
         time = self.time
         ops_executed = self.ops_executed
@@ -375,15 +376,9 @@ class Processor:
         run_stride = self._run_stride
         run_left = self._run_left
         body = self._loop_body
-        nbody = len(body)
         loop_iters = self._loop_iters
         loop_slot = self._loop_slot
-        # lazily computed per loop: -1 marks the cached batchability
-        # flags stale (set on every fresh OP_LOOP decode); the cached
-        # values survive suspends via _suspend_compiled
-        loop_cost = self._loop_cost
-        loop_nw = self._loop_nw
-        loop_batchable = self._loop_batchable
+        status = LOOP_DONE  # set, with addr for a miss, to leave the loop
         while True:
             # ---- pending stride run -----------------------------------
             while run_left:
@@ -400,78 +395,66 @@ class Processor:
                     ops_executed += k
                     run_left -= k
                     if time - now >= quantum:
-                        self._suspend_compiled(
-                            time, ops_executed, ip, run_op, run_addr,
-                            run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
-                            hit_wb, hit_l1, hit_l2)
-                        sim.at(time, self._resume)
-                        return
+                        status = LOOP_YIELD
+                        break
                     continue
                 addr = run_addr
                 stride = run_stride
                 if run_op == OP_W_RUN:
                     # stores retire through the write buffer one per
                     # cycle; push/merge/drain-kick exactly as _run
-                    if wb_push(addr):
-                        time += store_cycles
-                        ops_executed += 1
-                        run_left -= 1
-                        run_addr = addr + stride
-                        if not node._draining:
-                            kick_drain()
-                        # the rest of this block's stores are pure merges
-                        # once the entry is settled: after the first push
-                        # the drain engine is busy, so no kick can pop
-                        # the entry mid-block and every push coalesces.
-                        # Retire them in one step, quantum-capped like
-                        # the read-run bulk.
-                        if run_left and stride > 0:
-                            block = (addr & wb_mask if wb_mask
-                                     else addr // wb_block * wb_block)
-                            addr = run_addr
-                            if (block in wb_entries
-                                    and block != write_buffer._draining
-                                    and addr - block < wb_block):
-                                k = (block + wb_block - addr
-                                     + stride - 1) // stride
-                                if k > run_left:
-                                    k = run_left
-                                if store_cycles:
-                                    m = (quantum - (time - now)
-                                         + store_cycles - 1) // store_cycles
-                                    if k > m:
-                                        k = m
-                                if k > 0:
-                                    wb_entries[block] += k
-                                    write_buffer.stores_retired += k
-                                    write_buffer.stores_merged += k
-                                    time += k * store_cycles
-                                    ops_executed += k
-                                    run_left -= k
-                                    run_addr = addr + stride * k
-                        if time - now >= quantum:
-                            self._suspend_compiled(
-                                time, ops_executed, ip, run_op, run_addr,
-                                run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
-                                hit_wb, hit_l1, hit_l2)
-                            sim.at(time, self._resume)
-                            return
-                        continue
-                    self._suspend_compiled(
-                        time, ops_executed, ip, run_op, run_addr,
-                        run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
-                        hit_wb, hit_l1, hit_l2)
-                    self._stall_started = time
-                    node.wait_wb_change(self._retry_after_wb)
-                    return
+                    if not wb_push(addr):
+                        status = LOOP_WB_FULL
+                        break
+                    time += store_cycles
+                    ops_executed += 1
+                    run_left -= 1
+                    run_addr = addr + stride
+                    if not node._draining:
+                        kick_drain()
+                    # the rest of this block's stores are pure merges
+                    # once the entry is settled: after the first push
+                    # the drain engine is busy, so no kick can pop
+                    # the entry mid-block and every push coalesces.
+                    # Retire them in one step, quantum-capped like
+                    # the read-run bulk.
+                    if run_left and stride > 0:
+                        block = addr & wb_mask
+                        addr = run_addr
+                        if (block in wb_entries
+                                and block != write_buffer._draining
+                                and addr - block < wb_block):
+                            k = (block + wb_block - addr
+                                 + stride - 1) // stride
+                            if k > run_left:
+                                k = run_left
+                            if store_cycles:
+                                m = (quantum - (time - now)
+                                     + store_cycles - 1) // store_cycles
+                                if k > m:
+                                    k = m
+                            if k > 0:
+                                wb_entries[block] += k
+                                write_buffer.stores_retired += k
+                                write_buffer.stores_merged += k
+                                time += k * store_cycles
+                                ops_executed += k
+                                run_left -= k
+                                run_addr = addr + stride * k
+                    if time - now >= quantum:
+                        status = LOOP_YIELD
+                        break
+                    continue
                 # read run: bulk-retire the hits of one cache block per
-                # probe.  k = elements from addr that stay in the block,
-                # capped at the run length and at the quantum boundary
-                # (retiring the op that crosses it yields, exactly as
-                # the generator path checks after every op).
-                block = addr & wb_mask if wb_mask else addr // wb_block * wb_block
+                # probe.  k = elements from addr that stay in the block
+                # (the L1 and the write buffer share the block size:
+                # kernel_options), capped at the run length and at the
+                # quantum boundary (retiring the op that crosses it
+                # yields, exactly as the generator path checks after
+                # every op).
+                block = addr & wb_mask
                 if stride > 0:
-                    k = (addr // span * span + span - addr + stride - 1) // stride
+                    k = (block + wb_block - addr + stride - 1) // stride
                     if k > run_left:
                         k = run_left
                 else:
@@ -488,19 +471,29 @@ class Processor:
                     hit_wb += k
                     run_left -= k
                     run_addr = addr + stride * k
-                elif l1_slot_get is not None:
-                    i = l1_slot_get(addr >> l1_shift)
-                    if i is not None and l1_states[i]:
-                        if l1_is_lru:
-                            # one bump per element, final tick wins
-                            l1._tick = tick = l1._tick + k
-                            l1_lrus[i] = tick
-                        l1.hits += k
+                else:
+                    if l1_slot_get is None:
+                        # obj-model escape hatch: one element per probe
+                        k = 1
+                        data = l1_lookup_data(addr)
+                    else:
+                        i = l1_slot_get(addr >> l1_shift)
+                        if i is not None and l1_states[i]:
+                            if l1_is_lru:
+                                # one bump per element, final tick wins
+                                l1._tick = tick = l1._tick + k
+                                l1_lrus[i] = tick
+                            l1.hits += k
+                            data = l1_data[i]
+                        else:
+                            l1.misses += 1
+                            data = None
+                    if data is not None:
                         hit_l1 += k
+                        ops_executed += k
                         run_left -= k
                         run_addr = addr + stride * k
                         if trace_values:
-                            data = l1_data[i]
                             trace = self.value_trace
                             for _ in range(k):
                                 time += l1_cycles
@@ -508,335 +501,57 @@ class Processor:
                                 addr += stride
                         else:
                             time += k * l1_cycles
-                        ops_executed += k
                     else:
-                        l1.misses += 1
+                        run_left -= 1
+                        run_addr = addr + stride
                         data = l2_lookup_data(addr)
                         if data is None:
-                            run_left -= 1
-                            run_addr = addr + stride
-                            self._suspend_compiled(
-                                time, ops_executed, ip, run_op, run_addr,
-                                run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
-                                hit_wb, hit_l1, hit_l2)
-                            self._start_read_miss(addr)
-                            return
+                            status = LOOP_MISS
+                            break
                         # L1 refill; the rest of the block hits L1 next
                         l1_insert(addr, shared, data)
                         time += l2_cycles
                         ops_executed += 1
                         hit_l2 += 1
-                        run_left -= 1
-                        run_addr = addr + stride
                         if trace_values:
                             self.value_trace.append(("r", addr, data, time))
+                if time - now >= quantum:
+                    status = LOOP_YIELD
+                    break
+            else:
+                # ---- pending fixed-slot loop --------------------------
+                if loop_iters:
+                    # the shape's generated kernel (node/loopkernel.py)
+                    # runs elements until the loop ends or one exits
+                    (status, time, loop_iters, loop_slot, n, nwb, nl1, nl2,
+                     addr) = self._loop_kernel(
+                        body, loop_iters, loop_slot, time, stop, wb_entries,
+                        write_buffer, wb_push, kick_drain, l1, l1_slot_get,
+                        l1_states, l1_data, l1_lrus, l1_lookup_data,
+                        l2_lookup_data, l1_insert, self.value_trace)
+                    ops_executed += n
+                    hit_wb += nwb
+                    hit_l1 += nl1
+                    hit_l2 += nl2
+            if status:
+                self._suspend_compiled(
+                    time, ops_executed, ip, run_op, run_addr, run_stride,
+                    run_left, loop_iters, loop_slot, hit_wb, hit_l1, hit_l2)
+                if status == LOOP_YIELD:
+                    sim.at(time, self._resume)
+                elif status == LOOP_MISS:
+                    self._start_read_miss(addr)
                 else:
-                    # obj-model escape hatch: element-exact method calls
-                    data = l1_lookup_data(addr)
-                    if data is not None:
-                        time += l1_cycles
-                        ops_executed += 1
-                        hit_l1 += 1
-                        run_left -= 1
-                        run_addr = addr + stride
-                        if trace_values:
-                            self.value_trace.append(("r", addr, data, time))
-                    else:
-                        data = l2_lookup_data(addr)
-                        if data is None:
-                            run_left -= 1
-                            run_addr = addr + stride
-                            self._suspend_compiled(
-                                time, ops_executed, ip, run_op, run_addr,
-                                run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
-                                hit_wb, hit_l1, hit_l2)
-                            self._start_read_miss(addr)
-                            return
-                        l1_insert(addr, shared, data)
-                        time += l2_cycles
-                        ops_executed += 1
-                        hit_l2 += 1
-                        run_left -= 1
-                        run_addr = addr + stride
-                        if trace_values:
-                            self.value_trace.append(("r", addr, data, time))
-                if time - now >= quantum:
-                    self._suspend_compiled(
-                        time, ops_executed, ip, run_op, run_addr,
-                        run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
-                        hit_wb, hit_l1, hit_l2)
-                    sim.at(time, self._resume)
-                    return
-            # ---- pending fixed-slot loop ------------------------------
-            while loop_iters:
-                # Strip-mined hit fast path: when the next b iterations
-                # provably complete without an exit — every read slot
-                # forwards from the write buffer or hits L1, and the
-                # stores cannot fill the buffer — retire them slot-bulk.
-                # b is capped so each slot stays inside one cache block
-                # and the batch ends strictly before the quantum, which
-                # keeps counters, LRU order, the (single) drain kick and
-                # yield points identical to the per-element schedule; a
-                # read block aliasing a written block bails out because
-                # its wb-forward state would flip mid-batch.
-                if batching and loop_slot == 0:
-                    if loop_cost < 0:
-                        # classify the loop once per OP_LOOP (and per
-                        # resume): per-iteration cost, store-slot count,
-                        # and whether batching can ever pay — a slot
-                        # striding a whole block per iteration caps every
-                        # batch at one element, so skip the attempts
-                        loop_cost = 0
-                        loop_nw = 0
-                        loop_batchable = True
-                        s = 0
-                        while s < nbody:
-                            kind = body[s]
-                            if kind == 2:
-                                loop_cost += body[s + 1]
-                            else:
-                                stride = body[s + 2]
-                                # batches only pay when a block covers
-                                # many elements; coarse strides fragment
-                                # every batch at a block boundary, so
-                                # leave those loops per-element
-                                if stride < 0 or stride * 8 > span:
-                                    loop_batchable = False
-                                if kind == 0:
-                                    loop_cost += l1_cycles
-                                else:
-                                    loop_cost += store_cycles
-                                    loop_nw += 1
-                            s += 3
-                    # occupancy bound is strict (<): a store to the block
-                    # being drained needs a free slot even when it merges
-                    # into an existing fresh entry, so the buffer must
-                    # not reach capacity mid-batch
-                    if (loop_batchable and loop_iters >= 2
-                            and (not loop_nw
-                                 or len(wb_entries) + loop_nw < wb_capacity)):
-                        b = loop_iters
-                        if loop_cost:
-                            m = (quantum - (time - now) - 1) // loop_cost
-                            if m < b:
-                                b = m
-                        s = 0
-                        while b >= 2 and s < nbody:
-                            kind = body[s]
-                            if kind != 2:
-                                stride = body[s + 2]
-                                if stride:
-                                    addr = body[s + 1]
-                                    k = (addr // span * span + span - addr
-                                         + stride - 1) // stride
-                                    if k < b:
-                                        b = k
-                            s += 3
-                    else:
-                        b = 0
-                    if b >= 2:
-                        # classify each slot before mutating anything.
-                        # cls per read slot: -1 = write-buffer forward,
-                        # else the L1 slot index; aliased reads (block
-                        # written by a store slot of the same body, not
-                        # yet buffered) take one L1 hit on the first
-                        # iteration and forward afterwards — exactly the
-                        # per-element schedule — unless the store slot
-                        # precedes them, in which case every iteration
-                        # forwards.  Any read that would miss bails out
-                        # so the per-element path discovers the miss at
-                        # its exact op.
-                        cls = self._batch_cls
-                        alias = self._batch_alias
-                        wblocks = self._batch_wblocks
-                        del cls[:], alias[:], wblocks[:]
-                        s = 0
-                        while s < nbody:
-                            if body[s] == 1:
-                                addr = body[s + 1]
-                                wblocks.append(
-                                    addr & wb_mask if wb_mask
-                                    else addr // wb_block * wb_block)
-                                wblocks.append(s)
-                            s += 3
-                        s = 0
-                        while s < nbody:
-                            if body[s] == 0:
-                                addr = body[s + 1]
-                                block = (addr & wb_mask if wb_mask
-                                         else addr // wb_block * wb_block)
-                                if (block in wb_entries
-                                        or block == write_buffer._draining):
-                                    cls.append(-1)
-                                else:
-                                    w_pos = -1
-                                    for wi in range(0, len(wblocks), 2):
-                                        if wblocks[wi] == block:
-                                            w_pos = wblocks[wi + 1]
-                                            break
-                                    if 0 <= w_pos < s:
-                                        # store slot runs first each
-                                        # iteration: forwards throughout
-                                        cls.append(-1)
-                                    else:
-                                        i = l1_slot_get(addr >> l1_shift)
-                                        if i is None or not l1_states[i]:
-                                            b = 0
-                                            break
-                                        cls.append(i)
-                                        if w_pos >= 0:
-                                            alias.append(len(cls) - 1)
-                            s += 3
-                        if b and alias and l1_is_lru:
-                            # the single first-iteration L1 touch of each
-                            # aliased read lands before any other slot's
-                            # later iterations, so their LRU bumps go
-                            # first (in slot order)
-                            for ci in alias:
-                                l1._tick = tick = l1._tick + 1
-                                l1_lrus[cls[ci]] = tick
-                        if b:
-                            ci = 0
-                            s = 0
-                            while s < nbody:
-                                kind = body[s]
-                                if kind == 0:
-                                    i = cls[ci]
-                                    if i < 0:
-                                        hit_wb += b
-                                    elif ci in alias:
-                                        # tick already bumped above
-                                        l1.hits += 1
-                                        hit_l1 += 1
-                                        hit_wb += b - 1
-                                    else:
-                                        if l1_is_lru:
-                                            l1._tick = tick = l1._tick + b
-                                            l1_lrus[i] = tick
-                                        l1.hits += b
-                                        hit_l1 += b
-                                    ci += 1
-                                    body[s + 1] += body[s + 2] * b
-                                elif kind == 1:
-                                    addr = body[s + 1]
-                                    stride = body[s + 2]
-                                    block = (addr & wb_mask if wb_mask
-                                             else addr // wb_block * wb_block)
-                                    wb_push(addr)
-                                    if not node._draining:
-                                        kick_drain()
-                                    if (block in wb_entries
-                                            and block
-                                            != write_buffer._draining):
-                                        # the rest of the batch merges
-                                        # into this entry
-                                        wb_entries[block] += b - 1
-                                        write_buffer.stores_retired += b - 1
-                                        write_buffer.stores_merged += b - 1
-                                    else:
-                                        addr += stride
-                                        for _ in range(b - 1):
-                                            wb_push(addr)
-                                            addr += stride
-                                            if not node._draining:
-                                                kick_drain()
-                                    body[s + 1] += stride * b
-                                ops_executed += b
-                                s += 3
-                            time += b * loop_cost
-                            loop_iters -= b
-                            continue
-                s = loop_slot
-                kind = body[s]
-                if kind == 0:  # SLOT_R
-                    addr = body[s + 1]
-                    block = addr & wb_mask if wb_mask else addr // wb_block * wb_block
-                    if block in wb_entries or block == write_buffer._draining:
-                        time += l1_cycles
-                        ops_executed += 1
-                        hit_wb += 1
-                    else:
-                        if l1_slot_get is not None:
-                            i = l1_slot_get(addr >> l1_shift)
-                            if i is None or not l1_states[i]:
-                                l1.misses += 1
-                                data = None
-                            else:
-                                if l1_is_lru:
-                                    l1._tick = tick = l1._tick + 1
-                                    l1_lrus[i] = tick
-                                l1.hits += 1
-                                data = l1_data[i]
-                        else:
-                            data = l1_lookup_data(addr)
-                        if data is not None:
-                            time += l1_cycles
-                            ops_executed += 1
-                            hit_l1 += 1
-                            if trace_values:
-                                self.value_trace.append(("r", addr, data, time))
-                        else:
-                            data = l2_lookup_data(addr)
-                            if data is None:
-                                # complete on the reply; advance past
-                                # this element before suspending
-                                body[s + 1] = addr + body[s + 2]
-                                loop_slot = s + 3
-                                if loop_slot == nbody:
-                                    loop_slot = 0
-                                    loop_iters -= 1
-                                self._suspend_compiled(
-                                    time, ops_executed, ip, run_op, run_addr,
-                                    run_stride, run_left, loop_iters,
-                                    loop_slot, loop_cost, loop_nw,
-                                    loop_batchable, hit_wb, hit_l1, hit_l2)
-                                self._start_read_miss(addr)
-                                return
-                            l1_insert(addr, shared, data)
-                            time += l2_cycles
-                            ops_executed += 1
-                            hit_l2 += 1
-                            if trace_values:
-                                self.value_trace.append(("r", addr, data, time))
-                    body[s + 1] = addr + body[s + 2]
-                elif kind == 1:  # SLOT_W
-                    addr = body[s + 1]
-                    if wb_push(addr):
-                        time += store_cycles
-                        ops_executed += 1
-                        if not node._draining:
-                            kick_drain()
-                        body[s + 1] = addr + body[s + 2]
-                    else:
-                        # full buffer: retry this same store after a drain
-                        self._suspend_compiled(
-                            time, ops_executed, ip, run_op, run_addr,
-                            run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
-                            hit_wb, hit_l1, hit_l2)
-                        self._stall_started = time
-                        node.wait_wb_change(self._retry_after_wb)
-                        return
-                else:  # SLOT_WORK
-                    time += body[s + 1]
-                    ops_executed += 1
-                loop_slot = s + 3
-                if loop_slot == nbody:
-                    loop_slot = 0
-                    loop_iters -= 1
-                if time - now >= quantum:
-                    self._suspend_compiled(
-                        time, ops_executed, ip, run_op, run_addr,
-                        run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
-                        hit_wb, hit_l1, hit_l2)
-                    sim.at(time, self._resume)
-                    return
+                    self._stall_started = time
+                    node.wait_wb_change(self._retry_after_wb)
+                return
             # ---- decode the next instruction --------------------------
             if ip >= end:
                 nxt = next(self._chunks, None)
                 if nxt is None:
                     self._suspend_compiled(
                         time, ops_executed, ip, run_op, run_addr,
-                        run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
+                        run_stride, run_left, loop_iters, loop_slot,
                         hit_wb, hit_l1, hit_l2)
                     self._begin_finish()
                     return
@@ -876,19 +591,17 @@ class Processor:
                 run_left = code[ip + 2]
                 ip += 3
             elif opcode == OP_LOOP:
-                iters = code[ip + 1]
                 n3 = code[ip + 2] * 3
                 body[:] = code[ip + 3:ip + 3 + n3]
-                nbody = n3
-                loop_iters = iters
+                loop_iters = code[ip + 1]
                 loop_slot = 0
-                loop_cost = -1
+                self._loop_kernel = loop_kernel(body, self._kernel_options)
                 ip += 3 + n3
             else:
                 # synchronization (or a bad opcode): cold exits
                 self._suspend_compiled(
                     time, ops_executed, ip + 2, run_op, run_addr,
-                    run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
+                    run_stride, run_left, loop_iters, loop_slot,
                     hit_wb, hit_l1, hit_l2)
                 sync_id = code[ip + 1]
                 if opcode == OP_BARRIER:

@@ -82,8 +82,10 @@ class SystemConfig:
             raise ConfigError(
                 f"num_nodes must be a power of two >= 2, got {self.num_nodes}"
             )
-        if self.block_size % 8:
-            raise ConfigError("block_size must be a multiple of the 8-byte flit")
+        if self.block_size < 8 or self.block_size & (self.block_size - 1):
+            # caches and write buffers index blocks by mask and shift
+            raise ConfigError(f"block_size must be a power of two >= the "
+                              f"8-byte flit, got {self.block_size}")
         if self.switch_cache_size < 0 or self.netcache_size < 0:
             raise ConfigError("cache sizes must be non-negative")
         if self.quantum < 1:

@@ -30,9 +30,11 @@ gate, scoped to the exact (module, function) regions listed in
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from ..framework import AnalysisContext, Finding, Rule, dotted_name, register
+from ..framework import (AnalysisContext, Finding, Module, Rule,
+                         dotted_name, register)
 
 #: module -> the Class.method regions the perf PRs inlined (gate scope)
 HOT_REGIONS: Dict[str, FrozenSet[str]] = {
@@ -59,7 +61,8 @@ HOT_REGIONS: Dict[str, FrozenSet[str]] = {
         "CaesarEngine.try_intercept",
     }),
     # the processor front end: the generator dispatch loop and its
-    # compiled twin (integer-coded op chunks, DESIGN.md §13)
+    # compiled twin (integer-coded op chunks, DESIGN.md §13); its
+    # generated OP_LOOP kernels go through check_generated()
     "node/processor.py": frozenset({
         "Processor._run", "Processor._run_compiled",
     }),
@@ -227,12 +230,15 @@ def _iter_hot_functions(
 ) -> List[Tuple[str, str, ast.FunctionDef]]:
     """(rel_path, qualname, node) for every configured hot region found."""
     out: List[Tuple[str, str, ast.FunctionDef]] = []
-    for rel_path in sorted(HOT_REGIONS):
+    hot_regions = ctx.cache.get("hotpath-regions", HOT_REGIONS)
+    for rel_path in sorted(hot_regions):
         module = ctx.module(rel_path)
         if module is None:
             continue
-        regions = HOT_REGIONS[rel_path]
+        regions = hot_regions[rel_path]
         for node in module.tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in regions:
+                out.append((rel_path, node.name, node))
             if not isinstance(node, ast.ClassDef):
                 continue
             for item in node.body:
@@ -327,7 +333,16 @@ class HotNoSlotsRule(Rule):
         return findings
 
 
-register(HotAllocRule())
-register(HotClosureRule())
-register(HotAttrRule())
-register(HotNoSlotsRule())
+_RULES = tuple(register(rule) for rule in (
+    HotAllocRule(), HotClosureRule(), HotAttrRule(), HotNoSlotsRule()))
+
+
+def check_generated(rel_path: str, source: str) -> List[Finding]:
+    """P-rule findings in generated ``source``, whose top-level functions
+    all count as hot regions."""
+    tree = ast.parse(source, filename=rel_path)
+    ctx = AnalysisContext(Path("."), [Module(rel_path, Path(rel_path),
+                                             source, tree)])
+    ctx.cache["hotpath-regions"] = {rel_path: frozenset(
+        node.name for node in tree.body if isinstance(node, ast.FunctionDef))}
+    return [finding for rule in _RULES for finding in rule.run(ctx)]

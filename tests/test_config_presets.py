@@ -33,6 +33,19 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SystemConfig(block_size=20)
 
+    @pytest.mark.parametrize("block", [0, 24, 96])
+    def test_block_must_be_power_of_two(self, block):
+        # 96 passed the flit check, then Machine() failed in the cache
+        # array; the config itself must refuse it
+        with pytest.raises(ConfigError, match="power of two"):
+            SystemConfig(block_size=block)
+
+    @pytest.mark.parametrize("block", [8, 32, 128])
+    def test_power_of_two_blocks_build(self, block):
+        from repro.system.machine import Machine
+
+        Machine(base_config(2, block_size=block), sanitize=False)
+
     def test_negative_cache_sizes_rejected(self):
         with pytest.raises(ConfigError):
             SystemConfig(switch_cache_size=-1)
