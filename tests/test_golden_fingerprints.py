@@ -8,7 +8,13 @@ three observables against ``fixtures/golden_fingerprints.json``:
   the event granularity of the run (one event per worm hop);
 * ``payload_sha256`` — a digest of the full statistics collector
   (``MachineStats.to_payload()``), so every latency sum, read count,
-  breakdown and per-block record is covered, not just a summary.
+  breakdown and per-block record is covered, not just a summary;
+* ``stacks_sha256`` — a digest of every processor stack's own counters:
+  the write buffer's retired/merged stores and full stalls, the
+  processor's retired ops and read/write-buffer/sync stall cycles, and
+  the L1 and L2 hits, misses, evictions and LRU tick.  The statistics
+  payload holds none of these, so a slip in how the store drain probes
+  the L2 (one hit or one LRU tick too many) shows only here.
 
 The matrix is the six apps × MSI/MESI × switch cache off/on.  The
 fingerprints were recorded with fused worm transit off, where the
@@ -97,6 +103,22 @@ def _build(case: str) -> Tuple[Machine, object]:
     return Machine(config, sanitize=False), make_app(app, SCALE)
 
 
+def _stack_counters(machine: Machine) -> list:
+    """Per-stack front-end counters the statistics payload does not hold."""
+    rows = []
+    for stack in machine.stacks():
+        wb, proc = stack.write_buffer, stack.processor
+        rows.append([
+            stack.proc_id,
+            [wb.stores_retired, wb.stores_merged, wb.full_stalls],
+            [proc.ops_executed, proc.read_stall_cycles,
+             proc.wb_stall_cycles, proc.sync_stall_cycles],
+            [[array.hits, array.misses, array.evictions, array._tick]
+             for array in (stack.hierarchy.l1, stack.hierarchy.l2)],
+        ])
+    return rows
+
+
 def fingerprint(case: str) -> Dict[str, Union[int, str]]:
     """Run one case and return its pinned observables."""
     machine, workload = _build(case)
@@ -106,6 +128,7 @@ def fingerprint(case: str) -> Dict[str, Union[int, str]]:
         "exec_time": stats.exec_time,
         "events_fired": machine.sim.events_fired,
         "payload_sha256": _digest(stats.to_payload()),
+        "stacks_sha256": _digest(_stack_counters(machine)),
     }
     if case.split("-")[1] in REPLACEMENT_POLICIES:
         arrays = [
