@@ -242,6 +242,9 @@ class CacheArrayBase:
     def write_owned(self, addr: int, data: int) -> bool:
         raise NotImplementedError
 
+    def lookup_bump(self, addr: int) -> Optional[int]:
+        raise NotImplementedError
+
     def set_data(self, addr: int, data: int) -> bool:
         raise NotImplementedError
 
@@ -360,6 +363,26 @@ class CacheArray(CacheArrayBase):
         self._data[i] = data
         return True
 
+    def lookup_bump(self, addr: int) -> Optional[int]:
+        """A store drain's L2 access in one call: `lookup_state`'s stats
+        and LRU tick, then, for a writable (E/M) copy, `write_owned` of
+        the next version.  Returns that version, or None when the copy is
+        absent or only SHARED (ownership must be fetched first)."""
+        i = self._slot.get(addr >> self._block_shift)
+        states = self._states
+        if i is None or not states[i]:
+            self.misses += 1
+            return None
+        if self._lru:
+            self._tick += 1
+            self._lrus[i] = self._tick
+        self.hits += 1
+        if states[i] < _CODE_EXCLUSIVE:
+            return None
+        states[i] = _CODE_MODIFIED
+        self._data[i] = version = self._data[i] + 1
+        return version
+
     def set_data(self, addr: int, data: int) -> bool:
         """Update the payload of a resident block (no state change)."""
         i = self._slot.get(addr >> self._block_shift)
@@ -389,24 +412,21 @@ class CacheArray(CacheArrayBase):
         the same block updates it in place (no eviction).
         """
         block = addr >> self._block_shift
+        self._tick = tick = self._tick + 1
+        slot = self._slot
+        i = slot.get(block)
+        if i is not None:
+            self._states[i] = state.code
+            self._data[i] = data
+            self._lrus[i] = tick
+            return None
         set_idx = block & self._set_mask
-        tag = block >> self._set_bits
         assoc = self.assoc
-        num_sets = self.num_sets
         base = set_idx * assoc
         tags = self._tags
         states = self._states
         datas = self._data
         lrus = self._lrus
-        slot = self._slot
-        self._tick += 1
-        tick = self._tick
-        i = slot.get(block)
-        if i is not None:
-            states[i] = state.code
-            datas[i] = data
-            lrus[i] = tick
-            return None
         victim_info = None
         n = self._occ[set_idx]
         if n < assoc:
@@ -426,7 +446,7 @@ class CacheArray(CacheArrayBase):
                 for j in range(base + 1, base + assoc):
                     if lrus[j] < victim_lru:
                         v, victim_lru = j, lrus[j]
-            victim_block = tags[v] * num_sets + set_idx
+            victim_block = tags[v] * self.num_sets + set_idx
             if states[v]:
                 self.evictions += 1
                 victim_info = (
@@ -435,7 +455,7 @@ class CacheArray(CacheArrayBase):
                     datas[v],
                 )
             del slot[victim_block]
-        tags[v] = tag
+        tags[v] = block >> self._set_bits
         states[v] = state.code
         datas[v] = data
         lrus[v] = tick
@@ -592,6 +612,14 @@ class CacheArrayObj(CacheArrayBase):
         line.state = LineState.MODIFIED
         line.data = data
         return True
+
+    def lookup_bump(self, addr: int) -> Optional[int]:
+        line = self.lookup(addr)
+        if line is None or not line.state.writable():
+            return None
+        line.state = LineState.MODIFIED
+        line.data += 1
+        return line.data
 
     def set_data(self, addr: int, data: int) -> bool:
         line = self.probe(addr)

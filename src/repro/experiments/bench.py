@@ -372,36 +372,46 @@ def format_report(payload: Dict[str, Any]) -> str:
 
 
 def bench_command(
-    output: str = DEFAULT_PATH,
+    output: Optional[str] = None,
     baseline: str = DEFAULT_PATH,
     check: bool = False,
     repeat: int = DEFAULT_REPEAT,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> int:
-    """CLI driver for ``repro-experiments bench``."""
+    """CLI driver for ``repro-experiments bench``.
+
+    Without ``check`` the fresh payload is written to ``output`` (default:
+    the baseline path).  With ``check`` it is compared against the
+    baseline, which is read before anything is written, and it is written
+    only when ``output`` is given: a check never rewrites its baseline.
+    """
+    reference = None
+    if check:
+        base_path = Path(baseline)
+        if not base_path.is_file():
+            print(f"no baseline at {base_path}; nothing to check against")
+            return 1
+        reference = json.loads(base_path.read_text())
+    elif output is None:
+        output = baseline
     payload = run_bench(repeat=repeat)
     print(format_report(payload))
-    out_path = Path(output)
-    if out_path.is_file():
-        # the trajectory (hand-recorded perf history, e.g. the pre-PR
-        # seed baseline) rides along across regenerations
-        try:
-            previous = json.loads(out_path.read_text())
-        except ValueError:
-            previous = {}
-        if "trajectory" in previous:
-            payload["trajectory"] = previous["trajectory"]
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out_path}")
-    if not check:
+    if output is not None:
+        out_path = Path(output)
+        if out_path.is_file():
+            # the trajectory (hand-recorded perf history, e.g. the pre-PR
+            # seed baseline) rides along across regenerations
+            try:
+                previous = json.loads(out_path.read_text())
+            except ValueError:
+                previous = {}
+            if "trajectory" in previous:
+                payload["trajectory"] = previous["trajectory"]
+        out_path.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {out_path}")
+    if reference is None:
         return 0
-    base_path = Path(baseline)
-    if not base_path.is_file():
-        print(f"no baseline at {base_path}; nothing to check against")
-        return 1
-    problems = check_against(
-        payload, json.loads(base_path.read_text()), threshold
-    )
+    problems = check_against(payload, reference, threshold)
     if problems:
         print("perf-smoke FAILED:")
         for problem in problems:

@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument(
         "--output", default=None, metavar="PATH",
         help="where to write the fresh results (default: the baseline "
-             "path, i.e. BENCH_engine.json at the current directory)",
+             "path; with --check, nothing is written unless given)",
     )
     bench_p.add_argument(
         "--baseline", default="BENCH_engine.json", metavar="PATH",
@@ -177,7 +177,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .bench import bench_command
 
         return bench_command(
-            output=args.output if args.output else args.baseline,
+            output=args.output,
             baseline=args.baseline,
             check=args.check,
             repeat=args.repeat,

@@ -67,7 +67,6 @@ class ProcStack:
             trace_values=config.trace_values,
         )
         self._wb_waiters: List[Callable[[], None]] = []
-        self._draining = False
         self._drain_started = 0
         self.write_trace: List[Tuple[str, int, int, int]] = []
 
@@ -111,19 +110,22 @@ class ProcStack:
     # write-buffer drain engine (one per stack)
     # ------------------------------------------------------------------
     def kick_drain(self) -> None:
-        if self._draining:
-            return
+        # the one drain-in-flight flag is the buffer's own: begin_drain
+        # pops nothing while an entry is in flight
         block = self.write_buffer.begin_drain()
         if block is None:
             return
-        self._draining = True
-        self._drain_started = self.sim.now
-        probe = self.hierarchy.write_probe(block)
-        if probe.action == "hit":
-            self._apply_store(block)
-            self.sim.schedule(self.config.l2_write_cycles, self._drain_done)
-        else:
+        sim = self.sim
+        self._drain_started = now = sim.now
+        # an L2 hit on an owned copy commits the store in this one call
+        version = self.hierarchy.l2.lookup_bump(block)
+        if version is None:
             self.issue_write(block, self._drain_owned)
+            return
+        self.hierarchy.l1.set_data(block, version)
+        if self.config.trace_values:
+            self.write_trace.append(("w", block, version, now))
+        sim.call_at(now + self.config.l2_write_cycles, self._drain_done)
 
     def _drain_owned(self, txn) -> None:
         self._apply_store(
@@ -147,7 +149,6 @@ class ProcStack:
 
     def _drain_done(self) -> None:
         self.write_buffer.finish_drain()
-        self._draining = False
         tracer = self.sim.tracer
         if tracer is not None:
             started = self._drain_started
@@ -155,9 +156,11 @@ class ProcStack:
                 f"proc{self.proc_id}", "wb_drain", started,
                 self.sim.now - started,
             )
-        waiters, self._wb_waiters = self._wb_waiters, []
-        for waiter in waiters:
-            waiter()
+        waiters = self._wb_waiters
+        if waiters:
+            self._wb_waiters = []
+            for waiter in waiters:
+                waiter()
         self.kick_drain()
 
     def wait_wb_change(self, waiter: Callable[[], None]) -> None:

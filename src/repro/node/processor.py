@@ -52,6 +52,11 @@ from .loopkernel import (
 
 Op = Tuple
 
+_SHARED = LineState.SHARED
+#: _run_compiled's exit status for a synchronization op (next to the
+#: loop kernels' LOOP_* statuses)
+_SYNC = 4
+
 
 class Processor:
     """One in-order processor executing an operation stream."""
@@ -78,23 +83,17 @@ class Processor:
         self.finish_time: Optional[int] = None
         self._ops: Optional[Iterator[Op]] = None
         self._pending_op: Optional[Op] = None
-        # compiled front end (REPRO_OPS=compiled, DESIGN.md §13): chunk
-        # cursor plus the progress of a partially executed superop, so a
-        # miss, a full write buffer or a quantum yield can suspend a
-        # run/loop mid-flight and resume it element-exact
+        # compiled front end (REPRO_OPS=compiled, DESIGN.md §13): the
+        # processor constants _run_compiled works with, built once by
+        # start_compiled, and the cursor, written back at every exit —
+        # (chunk, ip, run op, run addr, run stride, run elements left,
+        # loop iterations left (current included), next loop slot, loop
+        # kernel) — so a miss, a full write buffer or a quantum yield can
+        # suspend a run/loop mid-flight and resume it element-exact
         self._compiled = False
         self._chunks: Optional[Iterator[List[int]]] = None
-        self._code: List[int] = []
-        self._ip = 0
-        self._run_op = 0        # OP_R_RUN or OP_W_RUN while _run_left > 0
-        self._run_addr = 0
-        self._run_stride = 0
-        self._run_left = 0
-        self._loop_body: List[int] = []  # (kind, base|cycles, stride) triples
-        self._loop_iters = 0    # iterations remaining, current included
-        self._loop_slot = 0     # index of the next slot to execute
-        self._loop_kernel: Optional[Callable] = None  # node/loopkernel.py
-        self._kernel_options: Optional[Options] = None
+        self._hoisted: Tuple = ()
+        self._cursor: Tuple = ([], 0, 0, 0, 0, 0, 0, 0, None)
         self._stall_started: Optional[int] = None
         self._sync_label = "sync"  # span name for the current sync stall
         self.value_trace: List[Tuple[str, int, int, int]] = []
@@ -115,7 +114,23 @@ class Processor:
         """Begin executing an integer-coded chunk stream (DESIGN.md §13)."""
         self._chunks = iter(chunks)
         self._compiled = True
-        self._kernel_options = self.kernel_options()
+        node = self.node
+        wb = node.write_buffer
+        l1 = node.hierarchy.l1
+        # _run_compiled's processor constants, unpacked there in one
+        # statement.  The coded L1's columns are probed inline (the obj
+        # model has none: its reads call lookup_data); the list holds the
+        # current loop body's (kind, base|cycles, stride) triples.
+        columns = ((l1._slot.get, l1._states, l1._data, l1._lrus,
+                    l1._block_shift, l1._lru) if hasattr(l1, "_slot")
+                   else (None, None, None, None, 0, False))
+        self._hoisted = (
+            self.kernel_options(), self.quantum, self.l1_cycles,
+            self.l2_cycles, self.store_cycles, self.trace_values,
+            wb, wb._entries, wb._neg_mask, wb.block_size, wb.push,
+            node.kick_drain, l1, l1.lookup_data,
+            node.hierarchy.l2.lookup_data, l1.insert) + columns + (
+            [], node.stats.add_read_hits, node.node_id)
         self.sim.schedule(0, self._resume)
 
     def kernel_options(self) -> Options:
@@ -254,7 +269,7 @@ class Processor:
                     ops_executed += 1
                     # kick_drain()'s first check, hoisted: while a drain
                     # is in flight the call would return immediately
-                    if not node._draining:
+                    if write_buffer._draining is None:
                         kick_drain()
                 else:
                     # buffer full: wait for a drain to complete, then retry
@@ -295,34 +310,6 @@ class Processor:
                 return
             op = next(ops_iter, None)
 
-    def _suspend_compiled(
-        self,
-        time: int,
-        ops_executed: int,
-        ip: int,
-        run_op: int,
-        run_addr: int,
-        run_stride: int,
-        run_left: int,
-        loop_iters: int,
-        loop_slot: int,
-        hit_wb: int,
-        hit_l1: int,
-        hit_l2: int,
-    ) -> None:
-        """Write the compiled loop's locals back before any exit."""
-        self.time = time
-        self.ops_executed = ops_executed
-        self._ip = ip
-        self._run_op = run_op
-        self._run_addr = run_addr
-        self._run_stride = run_stride
-        self._run_left = run_left
-        self._loop_iters = loop_iters
-        self._loop_slot = loop_slot
-        node = self.node
-        node.stats.add_read_hits(node.node_id, hit_wb, hit_l1, hit_l2)
-
     def _run_compiled(self) -> None:
         # Compiled twin of _run, kept in lockstep op for op: it consumes
         # integer-coded chunks (apps/opstream.py) instead of a generator
@@ -332,52 +319,22 @@ class Processor:
         # two modes bit-identical — but a hit run retires a whole cache
         # block per probe instead of re-entering the dispatch per
         # element, and a loop runs in its shape's generated kernel.
-        # Superop progress lives in locals and is written back by
-        # _suspend_compiled whenever the loop exits.
-        node = self.node
-        sim = self.sim
-        now = sim.now
-        quantum = self.quantum
+        # Processor constants come from start_compiled's tuple, superop
+        # progress from the cursor; both unpack in one statement each, and
+        # every exit leaves the loop with a status and writes back below.
+        (options, quantum, l1_cycles, l2_cycles, store_cycles, trace_values,
+         write_buffer, wb_entries, wb_mask, wb_block, wb_push, kick_drain,
+         l1, l1_lookup_data, l2_lookup_data, l1_insert, l1_slot_get,
+         l1_states, l1_data, l1_lrus, l1_shift, l1_is_lru, body,
+         add_read_hits, node_id) = self._hoisted
+        (code, ip, run_op, run_addr, run_stride, run_left, loop_iters,
+         loop_slot, kernel) = self._cursor
+        now = self.sim.now
         stop = now + quantum
-        l1_cycles = self.l1_cycles
-        l2_cycles = self.l2_cycles
-        store_cycles = self.store_cycles
-        trace_values = self.trace_values
-        write_buffer = node.write_buffer
-        wb_entries = write_buffer._entries
-        wb_mask = write_buffer._neg_mask
-        wb_block = write_buffer.block_size
-        wb_push = write_buffer.push
-        kick_drain = node.kick_drain
-        hierarchy = node.hierarchy
-        l1 = hierarchy.l1
-        l1_lookup_data = l1.lookup_data
-        l2_lookup_data = hierarchy.l2.lookup_data
-        l1_insert = l1.insert
-        l1_slot = getattr(l1, "_slot", None)
-        if l1_slot is not None:
-            l1_slot_get = l1_slot.get
-            l1_states = l1._states
-            l1_data = l1._data
-            l1_lrus = l1._lrus
-            l1_shift = l1._block_shift
-            l1_is_lru = l1._lru
-        else:
-            l1_slot_get = l1_states = l1_data = l1_lrus = None
-        shared = LineState.SHARED
-        hit_wb = hit_l1 = hit_l2 = 0
+        end = len(code)
         time = self.time
         ops_executed = self.ops_executed
-        code = self._code
-        end = len(code)
-        ip = self._ip
-        run_op = self._run_op
-        run_addr = self._run_addr
-        run_stride = self._run_stride
-        run_left = self._run_left
-        body = self._loop_body
-        loop_iters = self._loop_iters
-        loop_slot = self._loop_slot
+        hit_wb = hit_l1 = hit_l2 = 0
         status = LOOP_DONE  # set, with addr for a miss, to leave the loop
         while True:
             # ---- pending stride run -----------------------------------
@@ -410,7 +367,7 @@ class Processor:
                     ops_executed += 1
                     run_left -= 1
                     run_addr = addr + stride
-                    if not node._draining:
+                    if write_buffer._draining is None:
                         kick_drain()
                     # the rest of this block's stores are pure merges
                     # once the entry is settled: after the first push
@@ -509,7 +466,7 @@ class Processor:
                             status = LOOP_MISS
                             break
                         # L1 refill; the rest of the block hits L1 next
-                        l1_insert(addr, shared, data)
+                        l1_insert(addr, _SHARED, data)
                         time += l2_cycles
                         ops_executed += 1
                         hit_l2 += 1
@@ -524,7 +481,7 @@ class Processor:
                     # the shape's generated kernel (node/loopkernel.py)
                     # runs elements until the loop ends or one exits
                     (status, time, loop_iters, loop_slot, n, nwb, nl1, nl2,
-                     addr) = self._loop_kernel(
+                     addr) = kernel(
                         body, loop_iters, loop_slot, time, stop, wb_entries,
                         write_buffer, wb_push, kick_drain, l1, l1_slot_get,
                         l1_states, l1_data, l1_lrus, l1_lookup_data,
@@ -534,28 +491,13 @@ class Processor:
                     hit_l1 += nl1
                     hit_l2 += nl2
             if status:
-                self._suspend_compiled(
-                    time, ops_executed, ip, run_op, run_addr, run_stride,
-                    run_left, loop_iters, loop_slot, hit_wb, hit_l1, hit_l2)
-                if status == LOOP_YIELD:
-                    sim.at(time, self._resume)
-                elif status == LOOP_MISS:
-                    self._start_read_miss(addr)
-                else:
-                    self._stall_started = time
-                    node.wait_wb_change(self._retry_after_wb)
-                return
+                break
             # ---- decode the next instruction --------------------------
             if ip >= end:
                 nxt = next(self._chunks, None)
                 if nxt is None:
-                    self._suspend_compiled(
-                        time, ops_executed, ip, run_op, run_addr,
-                        run_stride, run_left, loop_iters, loop_slot,
-                        hit_wb, hit_l1, hit_l2)
-                    self._begin_finish()
-                    return
-                self._code = code = nxt
+                    break  # the stream ended: status is LOOP_DONE
+                code = nxt
                 end = len(code)
                 ip = 0
                 continue
@@ -595,25 +537,36 @@ class Processor:
                 body[:] = code[ip + 3:ip + 3 + n3]
                 loop_iters = code[ip + 1]
                 loop_slot = 0
-                self._loop_kernel = loop_kernel(body, self._kernel_options)
+                kernel = loop_kernel(body, options)
                 ip += 3 + n3
             else:
-                # synchronization (or a bad opcode): cold exits
-                self._suspend_compiled(
-                    time, ops_executed, ip + 2, run_op, run_addr,
-                    run_stride, run_left, loop_iters, loop_slot,
-                    hit_wb, hit_l1, hit_l2)
-                sync_id = code[ip + 1]
-                if opcode == OP_BARRIER:
-                    self._start_sync(("barrier", sync_id), is_barrier=True)
-                    return
-                if opcode == OP_LOCK:
-                    self._start_sync(("lock", sync_id), is_barrier=False)
-                    return
-                if opcode == OP_UNLOCK:
-                    self._start_unlock(("unlock", sync_id))
-                    return
-                raise SimulationError(f"bad opcode {opcode} at {ip}")
+                # synchronization (or a bad opcode): a cold exit
+                status = _SYNC
+                ip += 2
+                break
+        # ---- every exit: write the loop state back, then act ---------
+        self.time = time
+        self.ops_executed = ops_executed
+        self._cursor = (code, ip, run_op, run_addr, run_stride, run_left,
+                        loop_iters, loop_slot, kernel)
+        add_read_hits(node_id, hit_wb, hit_l1, hit_l2)
+        if status == LOOP_WB_FULL:
+            self._stall_started = time
+            self.node.wait_wb_change(self._retry_after_wb)
+        elif status == LOOP_YIELD:
+            self.sim.at(time, self._resume)
+        elif status == LOOP_MISS:
+            self._start_read_miss(addr)
+        elif status == LOOP_DONE:
+            self._begin_finish()
+        elif opcode == OP_BARRIER:
+            self._start_sync(("barrier", code[ip - 1]), is_barrier=True)
+        elif opcode == OP_LOCK:
+            self._start_sync(("lock", code[ip - 1]), is_barrier=False)
+        elif opcode == OP_UNLOCK:
+            self._start_unlock(("unlock", code[ip - 1]))
+        else:
+            raise SimulationError(f"bad opcode {opcode} at {ip - 2}")
 
     # ------------------------------------------------------------------
     # read misses

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.apps.synthetic import SharedReaders
-from repro.experiments import bench
+from repro.experiments import bench, cli
 from repro.system.presets import base_config
 
 
@@ -82,20 +82,57 @@ def test_check_against_flags_workload_set_changes(payload):
     assert any("no longer benched" in p for p in problems)
 
 
-def test_bench_command_preserves_trajectory(tiny_workloads, tmp_path, capsys):
+def test_bench_command_preserves_trajectory(payload, tmp_path, monkeypatch,
+                                           capsys):
+    # every run returns the shared payload, so the --check below compares
+    # equal numbers; a live re-run's speedup ratios are noise here
+    monkeypatch.setattr(bench, "run_bench",
+                        lambda repeat: json.loads(json.dumps(payload)))
     out = tmp_path / "BENCH_engine.json"
     assert bench.bench_command(
         output=str(out), baseline=str(out), repeat=1
     ) == 0
-    payload = json.loads(out.read_text())
+    written = json.loads(out.read_text())
     history = [{"label": "seed", "events_per_s": {"tiny": 123}}]
-    payload["trajectory"] = history
-    out.write_text(json.dumps(payload))
+    written["trajectory"] = history
+    out.write_text(json.dumps(written))
 
-    # regeneration (and --check against the committed file) keeps history
+    # regeneration (and --check --output onto the committed file) keeps
+    # the history
     assert bench.bench_command(
         output=str(out), baseline=str(out), check=True, repeat=1
     ) == 0
     regenerated = json.loads(out.read_text())
     assert regenerated["trajectory"] == history
     assert "perf-smoke ok" in capsys.readouterr().out
+    assert bench.bench_command(baseline=str(out), repeat=1) == 0
+    assert json.loads(out.read_text())["trajectory"] == history
+
+
+def test_check_reads_baseline_first_and_never_rewrites_it(
+    payload, tiny_workloads, tmp_path, capsys
+):
+    """``bench --check`` without ``--output`` compares a live run against
+    the baseline as committed, and leaves that file byte-identical."""
+    drifted = json.loads(json.dumps(payload))
+    drifted["workloads"]["tiny"]["cycles"] += 1
+    base = tmp_path / "BENCH_engine.json"
+    base.write_text(json.dumps(drifted, indent=2) + "\n")
+    committed = base.read_bytes()
+
+    assert cli.main(["bench", "--check", "--baseline", str(base),
+                     "--repeat", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "perf-smoke FAILED" in out and "tiny: timing drifted" in out
+    assert base.read_bytes() == committed
+    assert [p.name for p in tmp_path.iterdir()] == [base.name]
+
+
+def test_check_without_baseline_fails_before_running(tmp_path, monkeypatch):
+    def no_run(repeat):
+        raise AssertionError("ran the bench without a baseline")
+
+    monkeypatch.setattr(bench, "run_bench", no_run)
+    missing = tmp_path / "BENCH_engine.json"
+    assert bench.bench_command(baseline=str(missing), check=True) == 1
+    assert not missing.exists()

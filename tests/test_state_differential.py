@@ -90,19 +90,27 @@ def _array_pair(replacement):
 
 def _array_observables(arr):
     resident = sorted(
-        (addr, line.tag, line.state, line.data)
+        (addr, line.tag, line.state, line.data, line.lru)
         for addr, line in arr.resident_blocks()
     )
     return (
-        arr.hits, arr.misses, arr.evictions, arr.invalidations,
+        arr.hits, arr.misses, arr.evictions, arr.invalidations, arr._tick,
         arr.occupancy(),
         tuple(arr.set_len(s) for s in range(arr.num_sets)),
         tuple(resident),
     )
 
 
+#: lookup_bump's cases, by the L2 state code before the call
+_BUMP_CASES = {CODE_INVALID: "absent", CODE_SHARED: "shared",
+               CODE_EXCLUSIVE: "owned", CODE_MODIFIED: "owned"}
+
+
 def _lockstep_arrays(seed, replacement, ops=600):
-    """One seeded op-script through both models, compared every step."""
+    """One seeded op-script through both models, compared every step.
+
+    Returns the set of ``lookup_bump`` cases the script exercised."""
+    bump_cases = set()
     rng = random.Random(seed)
     # a small address pool over few sets forces conflicts and evictions
     addrs = [b * 32 for b in range(64)]
@@ -134,17 +142,26 @@ def _lockstep_arrays(seed, replacement, ops=600):
         elif roll < 0.70:
             assert coded.lookup_data(addr) == obj.lookup_data(addr)
             assert coded.lookup_state(addr) == obj.lookup_state(addr)
-        elif roll < 0.76:
+        elif roll < 0.75:
             data = rng.randrange(1 << 16)
             assert coded.write_owned(addr, data) == obj.write_owned(addr, data)
-        elif roll < 0.80:
+        elif roll < 0.81:
+            # mostly a resident block, so S and E/M copies come up too
+            resident = sorted(a for a, _ in coded.resident_blocks())
+            if resident and rng.random() < 0.75:
+                addr = rng.choice(resident)
+            bump_cases.add(_BUMP_CASES[coded.probe_state(addr)])
+            assert coded.lookup_bump(addr) == obj.lookup_bump(addr), (
+                op_idx, "lookup_bump", addr,
+            )
+        elif roll < 0.84:
             data = rng.randrange(1 << 16)
             assert coded.set_data(addr, data) == obj.set_data(addr, data)
-        elif roll < 0.84:
+        elif roll < 0.87:
             assert coded.downgrade_owned(addr) == obj.downgrade_owned(addr)
-        elif roll < 0.90:
+        elif roll < 0.92:
             assert coded.invalidate(addr) == obj.invalidate(addr)
-        elif roll < 0.96:
+        elif roll < 0.97:
             state = rng.choice(states)
             outcomes = []
             for arr in (coded, obj):
@@ -160,16 +177,41 @@ def _lockstep_arrays(seed, replacement, ops=600):
         assert _array_observables(coded) == _array_observables(obj), (
             op_idx, "observables",
         )
+    return bump_cases
 
 
 @pytest.mark.parametrize("replacement", CacheArray.REPLACEMENT_POLICIES)
 @pytest.mark.parametrize("seed", range(4))
 def test_array_lockstep_fuzz(seed, replacement):
-    _lockstep_arrays(seed, replacement)
+    assert _lockstep_arrays(seed, replacement) == {"absent", "shared", "owned"}
+
+
+def test_lookup_bump_is_lookup_then_owned_write():
+    """``lookup_bump`` = ``lookup_state``'s stats and LRU tick, then, on an
+    E/M copy only, ``write_owned`` of the next version — in both models."""
+    for model in STATE_MODELS:
+        arr = make_cache_array(256, 32, 2, model=model)
+        assert arr.lookup_bump(0x40) is None, model  # absent: a miss
+        assert (arr.hits, arr.misses, arr._tick) == (0, 1, 0), model
+        for addr, state in ((0x00, LineState.SHARED),
+                            (0x20, LineState.EXCLUSIVE),
+                            (0x40, LineState.MODIFIED)):
+            arr.insert(addr, state, 7)
+        assert arr.lookup_bump(0x00) is None, model  # S: hit, no write
+        assert arr.probe(0x00).state is LineState.SHARED, model
+        assert arr.probe_data(0x00) == 7, model
+        assert arr.lookup_bump(0x20) == 8, model  # E: M-promoted
+        assert arr.lookup_bump(0x40) == 8, model
+        assert arr.lookup_bump(0x40) == 9, model
+        for addr in (0x20, 0x40):
+            assert arr.probe(addr).state is LineState.MODIFIED, model
+        assert (arr.hits, arr.misses, arr._tick) == (4, 1, 7), model
+        assert arr.probe(0x40).lru == 7, model
 
 
 def test_array_lockstep_fuzz_long():
-    _lockstep_arrays(seed=1234, replacement="random", ops=3000)
+    assert _lockstep_arrays(seed=1234, replacement="random", ops=3000) == {
+        "absent", "shared", "owned"}
 
 
 def test_random_victim_matches_legacy_choice():
