@@ -52,8 +52,9 @@ HOT_REGIONS: Dict[str, FrozenSet[str]] = {
     "cache/array.py": frozenset({
         "CacheArray.probe_data", "CacheArray.probe_state",
         "CacheArray.lookup_data", "CacheArray.lookup_state",
-        "CacheArray.write_owned", "CacheArray.set_data",
-        "CacheArray.downgrade_owned", "CacheArray.insert",
+        "CacheArray.write_owned", "CacheArray.lookup_bump",
+        "CacheArray.set_data", "CacheArray.downgrade_owned",
+        "CacheArray.insert",
         "CacheArray.invalidate",
     }),
     "core/caesar.py": frozenset({
